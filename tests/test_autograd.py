@@ -86,6 +86,21 @@ class TestMatmul:
     def test_batched_with_broadcast_rhs(self):
         check_op(lambda ts: (ts[0] @ ts[1]).sum(), [(2, 3, 4), (4, 5)])
 
+    @pytest.mark.parametrize(
+        "build, shapes",
+        [
+            # the edge-layer shape: (B, n, k, d) @ (d, d')
+            (lambda ts: ((ts[0] @ ts[1]) * (ts[0] @ ts[1])).sum(), [(2, 3, 2, 4), (4, 5)]),
+            # the policy's form: x @ W.T with W stored as (out, in)
+            (lambda ts: (ts[0] @ ts[1].transpose(1, 0)).pow(2.0).sum(), [(2, 3, 4), (5, 4)]),
+            # a non-contiguous left operand
+            (lambda ts: (ts[0].transpose(0, 2, 1) @ ts[1]).pow(2.0).sum(), [(2, 4, 3), (4, 5)]),
+        ],
+        ids=["edge-4d", "transposed-weight", "noncontiguous-lhs"],
+    )
+    def test_folded_2d_weight(self, build, shapes):
+        check_op(build, shapes)
+
     def test_batched_both(self):
         check_op(lambda ts: (ts[0] @ ts[1]).sum(), [(2, 3, 4), (2, 4, 2)])
 
@@ -162,8 +177,12 @@ class TestShapeOps:
         check_op(lambda ts: (ts[0].gather(idx, axis=1).pow(2.0)).sum(), [(2, 3)])
 
     def test_gather_rows_with_duplicates(self):
-        idx = np.array([[0, 0, 3], [2, 2, 1]])
+        idx = np.array([[0, 0, 3], [2, 2, 1]])  # fewer picks than rows
         check_op(lambda ts: (ag.gather_rows(ts[0], idx).pow(2.0)).sum(), [(2, 4, 3)])
+
+    def test_gather_rows_more_picks_than_rows(self):
+        idx = np.array([[1, 0, 1, 2, 1], [2, 2, 0, 2, 1]])
+        check_op(lambda ts: (ag.gather_rows(ts[0], idx).pow(2.0)).sum(), [(2, 3, 2)])
 
 
 class TestGraphMechanics:
@@ -188,6 +207,15 @@ class TestGraphMechanics:
     def test_constants_build_no_graph(self):
         out = (Tensor(np.ones(3)) * 2.0).sum()
         assert not out.requires_grad
+
+    def test_second_backward_raises(self):
+        t = Tensor(np.array([3.0]), requires_grad=True)
+        y = (t * t).sum()
+        y.backward()
+        assert t.grad[0] == pytest.approx(6.0)
+        with pytest.raises(ValueError, match="graph already released"):
+            y.backward()
+        assert t.grad[0] == pytest.approx(6.0)
 
     def test_diamond_topology(self):
         t = Tensor(np.array([2.0]), requires_grad=True)

@@ -1,6 +1,7 @@
 """Policy network: graph, encoder, decoder, rollouts, and the BC loss."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from flowshop.env import ExpertTrace, record_expert_traces, reset, step
 from flowshop.errors import DataError, NumericError, ValidationError
 from flowshop.heuristics import HeuristicBudget, random_search
 from flowshop.instances import DatasetSpec, generate
+from flowshop import autograd as ag
+from flowshop import policy
+from flowshop.autograd import Tensor
 from flowshop.policy import (
     PolicyConfig,
     PolicyParams,
@@ -461,3 +465,75 @@ class TestBcLoss:
         Adam(params.tensors).step(grads, 1e-2)
         loss1, _ = bc_loss(params, batch, mode="train")
         assert loss1 < loss0
+
+
+def _outer_product_matmul(a: Tensor, w: Tensor) -> Tensor:
+    """(..., q) @ (q, r) whose weight gradient sums a batch of outer products."""
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            outer = np.swapaxes(a.data, -1, -2) @ g
+            w._accumulate(outer.sum(axis=tuple(range(outer.ndim - 2))))
+
+    return Tensor._make(a.data @ w.data, (a, w), backward)
+
+
+def _add_at_gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
+    """gather_rows whose backward scatters with np.add.at."""
+    grid = np.arange(t.data.shape[0])[:, None]
+
+    def backward(g):
+        gt = np.zeros_like(t.data)
+        np.add.at(gt, (grid, idx), g)
+        t._accumulate(gt)
+
+    return Tensor._make(t.data[grid, idx], (t,), backward)
+
+
+class TestBcLossBackward:
+    """The training step's backward: same gradients, graph freed as it goes."""
+
+    @staticmethod
+    def _batch(config, count, n):
+        insts = generate(DatasetSpec(count=count, jobs=n, machines=config.machines, seed=3))
+        return TraceBatch.from_traces(record_expert_traces(insts), config)
+
+    def test_gradients_match_reference_formulas_full_batch(self, monkeypatch):
+        # B=128 at n=20; d=32 keeps the reference's (B, n, k, d, d) products small.
+        # The folded GEMMs and the one-hot scatter sum the same products in
+        # another order, hence the 1e-12 tolerances.
+        cfg = PolicyConfig(machines=5, hidden_dim=32)
+        batch = self._batch(cfg, count=128, n=20)
+        loss, grads = bc_loss(PolicyParams.init(cfg, seed=0), batch)
+        monkeypatch.setattr(Tensor, "_matmul_2d_weight", _outer_product_matmul)
+        monkeypatch.setattr(ag, "gather_rows", _add_at_gather_rows)
+        ref_loss, ref_grads = bc_loss(PolicyParams.init(cfg, seed=0), batch)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=0.0, atol=1e-12, err_msg=name)
+
+    def test_backward_frees_the_graph_as_it_sweeps(self):
+        cfg = PolicyConfig(machines=3, hidden_dim=16)
+        batch = self._batch(cfg, count=8, n=10)
+        params = PolicyParams.init(cfg, seed=0)
+        bc_loss(params, batch)  # first call pays for lazy set-up
+        params.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = -policy._teacher_forced_logprobs(params, batch, "train").mean()
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            loss.backward()
+            current, peak = tracemalloc.get_traced_memory()
+            del loss
+            bc_loss(params, batch)
+            after_bc_loss = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.25 * held
+        assert current - base < 0.1 * held  # only the leaves' grads remain
+        assert after_bc_loss < 0.1 * held
