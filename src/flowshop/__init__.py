@@ -10,7 +10,6 @@ harness with gap/makespan/runtime reporting.
 from .core import (
     Instance,
     completion_times,
-    front_advance,
     gap_percent,
     makespan,
     makespan_batch,

@@ -26,7 +26,6 @@ __all__ = [
     "completion_times",
     "makespan",
     "makespan_batch",
-    "front_advance",
     "gap_percent",
 ]
 
@@ -89,37 +88,51 @@ def validate_permutation(perm, n: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _completion(x: np.ndarray) -> np.ndarray:
+    """Completion matrix of the columns of ``x`` in order, from an empty shop.
+
+    The one scalar sweep of the recurrence, machine-major over Python
+    floats: they round exactly as float64 does and the max is exact, so
+    every cell is bit-identical to a cell-by-cell float64 evaluation.
+    """
+    prev = [0.0] * x.shape[1]
+    rows = []
+    for row in x.tolist():
+        acc = 0.0
+        cur = []
+        for up, p in zip(prev, row):
+            acc = (acc if acc > up else up) + p
+            cur.append(acc)
+        rows.append(cur)
+        prev = cur
+    return np.array(rows)
+
+
+def _advance(front: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Fronts (m, B) after one more job per column; ``cols`` is (m, B) or (m, 1).
+
+    The one batched step of the recurrence, vectorized over the B columns.
+    """
+    out = np.empty_like(front)
+    acc = np.zeros(front.shape[1])
+    for i in range(front.shape[0]):
+        acc = np.maximum(acc, front[i]) + cols[i]
+        out[i] = acc
+    return out
+
+
 def completion_times(inst: Instance, perm) -> np.ndarray:
     """Full m x n completion-time matrix of ``perm``, column t = t-th scheduled job.
 
     The returned matrix is nondecreasing along rows and columns and its
     bottom-right entry is the makespan.
     """
-    order = validate_permutation(perm, inst.n)
-    x = inst.times[:, order]
-    m, n = x.shape
-    c = np.zeros((m, n))
-    for t in range(n):
-        up = 0.0
-        for i in range(m):
-            left = c[i, t - 1] if t > 0 else 0.0
-            up = max(up, left) + x[i, t]
-            c[i, t] = up
-    return c
+    return _completion(inst.times[:, validate_permutation(perm, inst.n)])
 
 
 def makespan(inst: Instance, perm) -> float:
-    """Makespan of ``perm``; O(m) memory via a rolling machine front."""
-    order = validate_permutation(perm, inst.n)
-    front = np.zeros(inst.m)
-    times = inst.times
-    for j in order:
-        col = times[:, j]
-        acc = 0.0
-        for i in range(inst.m):
-            acc = max(acc, front[i]) + col[i]
-            front[i] = acc
-    return float(front[-1])
+    """Makespan of ``perm``: the bottom-right entry of :func:`completion_times`."""
+    return float(_completion(inst.times[:, validate_permutation(perm, inst.n)])[-1, -1])
 
 
 def makespan_batch(inst: Instance, perms: np.ndarray) -> np.ndarray:
@@ -133,36 +146,10 @@ def makespan_batch(inst: Instance, perms: np.ndarray) -> np.ndarray:
     p, n = perms.shape
     if n != inst.n:
         raise ValidationError(f"permutations have {n} columns, instance has {inst.n} jobs")
-    front = np.zeros((p, inst.m))
-    times = inst.times
+    front = np.zeros((inst.m, p))
     for t in range(n):
-        cols = times[:, perms[:, t]]  # (m, P)
-        acc = np.zeros(p)
-        for i in range(inst.m):
-            acc = np.maximum(acc, front[:, i]) + cols[i]
-            front[:, i] = acc
-    return front[:, -1]
-
-
-def front_advance(inst: Instance, front: np.ndarray, job: int) -> np.ndarray:
-    """Machine-completion front after appending one more job.
-
-    Folding this over a permutation from a zero front reproduces the last
-    column of :func:`completion_times`; NEH insertion and decoding-time
-    evaluation rely on the incremental form.
-    """
-    if not 0 <= job < inst.n:
-        raise ValidationError(f"job index {job} out of range [0, {inst.n})")
-    front = np.asarray(front, dtype=np.float64)
-    if front.shape != (inst.m,):
-        raise ValidationError(f"front must have length {inst.m}, got shape {front.shape}")
-    col = inst.times[:, job]
-    out = np.empty(inst.m)
-    acc = 0.0
-    for i in range(inst.m):
-        acc = max(acc, front[i]) + col[i]
-        out[i] = acc
-    return out
+        front = _advance(front, inst.times[:, perms[:, t]])
+    return front[-1]
 
 
 def gap_percent(value: float, expert_value: float) -> float:

@@ -113,21 +113,19 @@ def _trial_seed(base: int, trial: int, index: int) -> int:
     return int(np.random.SeedSequence((base, trial, index)).generate_state(1, np.uint64)[0])
 
 
-def _budget(params: dict, default_iterations: int, seed: int) -> HeuristicBudget:
-    iterations = params.get("iterations")
-    max_time = params.get("max_time")
-    if iterations is None and max_time is None:
-        iterations = default_iterations
-    return HeuristicBudget(max_iterations=iterations, max_time=max_time, rng_seed=seed)
+def _budget(params: dict, seed: int) -> HeuristicBudget:
+    return HeuristicBudget(
+        max_iterations=params.get("iterations"), max_time=params.get("max_time"), rng_seed=seed
+    )
 
 
 def _run_method(inst: Instance, method: str, seed: int, params: dict) -> float:
     if method == "neh":
         return neh(inst)[1]
     if method == "rs":
-        return random_search(inst, _budget(params, 500, seed))[1]
+        return random_search(inst, _budget(params, seed))[1]
     if method == "ils":
-        budget = _budget(params, 3, seed)
+        budget = _budget(params, seed)
         return iterated_local_search(
             inst,
             budget,
@@ -138,7 +136,7 @@ def _run_method(inst: Instance, method: str, seed: int, params: dict) -> float:
         ig = IgParams(
             d_jobs=params.get("d_jobs", 4),
             acceptance_temperature=params.get("acceptance_temperature"),
-            budget=_budget(params, 5, seed),
+            budget=_budget(params, seed),
             init=params.get("init", "random"),
             inner_iterations=params.get("inner_iterations"),
         )

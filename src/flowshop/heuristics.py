@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, makespan, makespan_batch, validate_permutation
+from .core import Instance, _advance, _completion, makespan, makespan_batch, validate_permutation
 from .errors import ValidationError
 
 __all__ = [
@@ -84,34 +84,13 @@ def insertion_makespans(times: np.ndarray, seq, job: int) -> np.ndarray:
     q[i,pos] in O(m * len(seq)) total, instead of re-evaluating each of
     the len(seq)+1 candidate sequences from scratch.
     """
-    seq = np.asarray(seq, dtype=np.int64)
-    m = times.shape[0]
-    length = len(seq)
-    pj = times[:, job]
-    if length == 0:
-        return np.array([np.cumsum(pj)[-1]])
-    p = times[:, seq]
-
+    p = times[:, np.asarray(seq, dtype=np.int64)]
+    m, length = p.shape
     e = np.zeros((m, length + 1))  # e[:, t] = front after the first t jobs
-    for t in range(length):
-        acc = 0.0
-        for i in range(m):
-            acc = max(acc, e[i, t]) + p[i, t]
-            e[i, t + 1] = acc
-
+    e[:, 1:] = _completion(p)
     q = np.zeros((m, length + 1))  # q[i, t] = tail of seq[t:] started on machine i
-    for t in range(length - 1, -1, -1):
-        below = 0.0
-        for i in range(m - 1, -1, -1):
-            below = max(q[i, t + 1], below) + p[i, t]
-            q[i, t] = below
-
-    f = np.empty((m, length + 1))  # f[:, pos] = front of job inserted at pos
-    acc_v = np.zeros(length + 1)
-    for i in range(m):
-        acc_v = np.maximum(acc_v, e[i]) + pj[i]
-        f[i] = acc_v
-
+    q[:, :-1] = _completion(p[::-1, ::-1])[::-1, ::-1]
+    f = _advance(e, times[:, [job]])  # f[:, pos] = front of job inserted at pos
     return (f + q).max(axis=0)
 
 
@@ -280,7 +259,8 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
         it += 1
         removed_idx = rng.choice(inst.n, size=params.d_jobs, replace=False)
         removed_jobs = [cur_perm[i] for i in sorted(removed_idx)]
-        partial = [j for i, j in enumerate(cur_perm) if i not in set(removed_idx)]
+        removed = set(removed_idx)
+        partial = [j for i, j in enumerate(cur_perm) if i not in removed]
         for job in removed_jobs:
             ms = insertion_makespans(inst.times, partial, job)
             pos = int(np.argmin(ms))

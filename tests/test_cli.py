@@ -69,6 +69,12 @@ class TestSolve:
         rc = run(["solve", "--dataset", str(tmp_path / "nope.fsd"), "--methods", "neh"])
         assert rc == 2
 
+    def test_budget_without_any_limit_is_validation_error(self, dataset, capsys):
+        rc = run(["solve", "--dataset", str(dataset), "--methods", "rs",
+                  "--method-params", '{"rs": {"iterations": null}}'])
+        assert rc == 2
+        assert "max_iterations or max_time" in capsys.readouterr().err
+
     def test_config_file_supplies_defaults(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": "neh,rs", "seeds": 1, "out": str(tmp_path / "r.json")}))

@@ -87,6 +87,14 @@ class TestSolveDataset:
         expected = per_instance * len(insts)
         assert report.rows[0].time_s == pytest.approx(expected, rel=0.2)
 
+    @pytest.mark.parametrize("method", ["rs", "ils", "ig"])
+    def test_budget_without_any_limit_rejected(self, method):
+        config = ExperimentConfig(
+            methods=(method,), seeds=1, method_params={method: {"iterations": None}}
+        )
+        with pytest.raises(ValidationError, match="max_iterations or max_time"):
+            solve_dataset(small_dataset(count=2), config)
+
     def test_metadata_fields(self):
         report = solve_dataset(small_dataset(count=3), ExperimentConfig(methods=("neh",)))
         assert report.metadata["expert"] == "neh"

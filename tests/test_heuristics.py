@@ -21,6 +21,39 @@ from flowshop.instances import DatasetSpec, generate
 from conftest import oracle_makespan, random_instance
 
 
+# NEH on Gamma(1, 2) 10x50 instances drawn from PCG64(seed). Insertion ties
+# are decided by last-bit rounding, so any reordering of the recurrence's
+# arithmetic changes these sequences; re-capture them only with a deliberate
+# change of the tie rule.
+NEH_GOLDEN_50X10 = [
+    (
+        1000,
+        [37, 16, 40, 0, 46, 25, 28, 22, 23, 15, 45, 20, 13, 30, 6, 29, 43, 2, 4, 31, 27, 9, 38, 14, 3, 21, 33, 8, 44, 11, 17, 36, 32, 39, 24, 5, 7, 12, 41, 26, 35, 49, 48, 1, 47, 10, 42, 18, 19, 34],
+        122.51924995101957,
+    ),
+    (
+        1001,
+        [23, 49, 1, 43, 17, 12, 5, 11, 10, 14, 19, 20, 16, 2, 4, 6, 48, 37, 45, 29, 35, 44, 31, 25, 13, 21, 7, 46, 34, 47, 3, 8, 27, 32, 33, 18, 9, 36, 41, 0, 26, 22, 15, 28, 24, 40, 39, 42, 38, 30],
+        136.31242865119316,
+    ),
+    (
+        1002,
+        [49, 28, 36, 19, 11, 33, 45, 18, 22, 38, 2, 23, 15, 24, 8, 25, 41, 44, 20, 35, 39, 13, 37, 43, 30, 10, 17, 48, 42, 0, 3, 32, 16, 9, 34, 12, 1, 27, 47, 7, 14, 4, 21, 46, 31, 40, 5, 29, 26, 6],
+        129.30842835253168,
+    ),
+    (
+        1003,
+        [21, 0, 16, 46, 7, 8, 34, 37, 18, 11, 14, 26, 33, 1, 6, 42, 36, 43, 20, 40, 5, 39, 3, 27, 19, 48, 31, 35, 2, 44, 12, 45, 15, 30, 38, 9, 22, 17, 29, 13, 25, 28, 49, 41, 4, 10, 47, 23, 24, 32],
+        146.13567547322762,
+    ),
+    (
+        1004,
+        [34, 22, 45, 39, 36, 49, 2, 26, 44, 15, 24, 14, 0, 47, 48, 10, 41, 8, 35, 3, 13, 37, 16, 31, 29, 1, 4, 33, 30, 6, 5, 12, 9, 25, 17, 43, 21, 18, 46, 27, 19, 38, 28, 23, 32, 11, 40, 20, 42, 7],
+        125.85845559739795,
+    ),
+]
+
+
 def identical_jobs_instance(n=5, m=3):
     col = np.array([2.0, 1.0, 3.0])[:m]
     return Instance(np.tile(col[:, None], (1, n)))
@@ -54,7 +87,19 @@ class TestInsertionMakespans:
 
     def test_empty_sequence(self):
         inst = Instance(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.allclose(insertion_makespans(inst.times, [], 1), [6.0])
+        assert np.array_equal(insertion_makespans(inst.times, [], 1), [6.0])
+
+    def test_integer_times_equal_oracle_exactly(self, rng):
+        # integer-valued sums are exact, so every position must match to the bit
+        for _ in range(30):
+            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+            times = rng.integers(0, 100, (m, n)).astype(np.float64)
+            seq = list(rng.permutation(n))
+            job = seq.pop(int(rng.integers(0, n)))
+            expected = [
+                oracle_makespan(times, seq[:pos] + [job] + seq[pos:]) for pos in range(len(seq) + 1)
+            ]
+            assert np.array_equal(insertion_makespans(times, seq, job), expected)
 
 
 class TestNeh:
@@ -110,6 +155,13 @@ class TestNeh:
             seq.insert(pos, int(job))
         perm, value = neh(inst)
         assert list(perm) == seq and value == pytest.approx(makespan(inst, seq))
+
+    @pytest.mark.parametrize("seed, perm, value", NEH_GOLDEN_50X10)
+    def test_golden_permutations_gamma_50x10(self, seed, perm, value):
+        inst = Instance(np.random.Generator(np.random.PCG64(seed)).gamma(1.0, 2.0, (10, 50)))
+        got, got_value = neh(inst)
+        assert got.tolist() == perm
+        assert got_value == value
 
 
 class TestRandomSearch:
