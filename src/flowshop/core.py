@@ -138,17 +138,24 @@ def makespan(inst: Instance, perm) -> float:
 def makespan_batch(inst: Instance, perms: np.ndarray) -> np.ndarray:
     """Makespans of many permutations at once.
 
-    ``perms`` has shape (P, n), one permutation per row; rows are not
-    validated (callers generate them). Vectorized over P so enumeration
-    and random search stay cheap.
+    ``perms`` has shape (P, n), one permutation per row, with an integer
+    dtype. Only the dtype and the column count are checked; rows are not
+    validated (callers generate them), and an out-of-range index raises
+    numpy's ``IndexError``. Vectorized over P so enumeration and random
+    search stay cheap: each step gathers its (m, P) processing times into
+    one buffer reused across steps.
     """
     perms = np.asarray(perms)
+    if not np.issubdtype(perms.dtype, np.integer):
+        raise ValidationError(f"permutations must have an integer dtype, got {perms.dtype}")
     p, n = perms.shape
     if n != inst.n:
         raise ValidationError(f"permutations have {n} columns, instance has {inst.n} jobs")
     front = np.zeros((inst.m, p))
+    cols = np.empty((inst.m, p))
     for t in range(n):
-        front = _advance(front, inst.times[:, perms[:, t]])
+        np.take(inst.times, perms[:, t], axis=1, out=cols)
+        front = _advance(front, cols)
     return front[-1]
 
 

@@ -10,7 +10,9 @@ in-process against the enumerator.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,27 +32,54 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_JOBS = 10
-_BLOCK = 100_000
+_TABLE_JOBS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_permutations(r: int) -> np.ndarray:
+    """All r! permutations of ``range(r)`` in lexicographic order, one per row.
+
+    Row block f is the (r-1)-table with f prepended and every entry >= f
+    shifted up by one. Cached read-only as uint8 (8! rows take 0.3 MB).
+    """
+    if r == 0:
+        table = np.zeros((1, 0), dtype=np.uint8)
+    else:
+        sub = _lex_permutations(r - 1)
+        table = np.empty((math.factorial(r), r), dtype=np.uint8)
+        for f, rows in enumerate(np.split(table, r)):
+            rows[:, 0] = f
+            rows[:, 1:] = sub + (sub >= f)
+    table.setflags(write=False)
+    return table
 
 
 def brute_force(inst: Instance) -> tuple[np.ndarray, float]:
     """Exact optimum by enumerating all n! permutations (n <= 10 guard).
 
-    Ties return the lexicographically smallest optimal permutation, which
-    is what strict improvement over the lexicographic permutation stream
-    yields for free.
+    The enumeration runs in blocks of up to 8! rows, one
+    ``makespan_batch`` call each. A block fixes a head, the first n - 8
+    jobs (an empty head when n <= 8), and lists the remaining jobs in
+    every order of a cached lexicographic table; heads come in
+    lexicographic order too, so the blocks follow the global
+    lexicographic order. Ties therefore return the lexicographically
+    smallest optimal permutation, which is what strict improvement over
+    that stream yields for free.
     """
     if inst.n > BRUTE_FORCE_MAX_JOBS:
         raise ValidationError(
             f"brute force is guarded at n <= {BRUTE_FORCE_MAX_JOBS}, got n={inst.n}"
         )
-    stream = itertools.permutations(range(inst.n))
+    n = inst.n
+    table = _lex_permutations(min(n, _TABLE_JOBS))
+    head_len = n - table.shape[1]
+    block = np.empty((table.shape[0], n), dtype=np.int64)
     best_perm: np.ndarray | None = None
     best = np.inf
-    while True:
-        block = np.array(list(itertools.islice(stream, _BLOCK)), dtype=np.int64)
-        if block.size == 0:
-            break
+    for head in itertools.permutations(range(n), head_len):
+        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
+        block[:, :head_len] = head
+        block[:, head_len:] = rest[table]
         values = makespan_batch(inst, block)
         k = int(np.argmin(values))
         if values[k] < best:

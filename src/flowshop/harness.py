@@ -44,7 +44,9 @@ __all__ = [
 # Default desk-scale budgets. Calibrated so the classic quality ordering
 # NEH <= IG <= ILS <= RS emerges on generated Gamma data at n=20, m=5:
 # the insertion descent is strong enough that untruncated ILS/IG overtake
-# NEH, so their inner descents are budget-capped by default.
+# NEH, so their inner descents are budget-capped by default. This table is
+# the only source of defaults: ``_run_method`` reads its keys without
+# fallbacks, and every caller passes parameters merged from it.
 DEFAULT_METHOD_PARAMS: dict[str, dict] = {
     "rs": {"iterations": 100},
     "ils": {"iterations": 3, "inner_iterations": 10, "perturbation_strength": 2},
@@ -129,15 +131,15 @@ def _run_method(inst: Instance, method: str, seed: int, params: dict) -> float:
         return iterated_local_search(
             inst,
             budget,
-            params.get("perturbation_strength", 2),
+            params["perturbation_strength"],
             inner_iterations=params.get("inner_iterations"),
         )[1]
     if method == "ig":
         ig = IgParams(
-            d_jobs=params.get("d_jobs", 4),
+            d_jobs=params["d_jobs"],
             acceptance_temperature=params.get("acceptance_temperature"),
             budget=_budget(params, seed),
-            init=params.get("init", "random"),
+            init=params["init"],
             inner_iterations=params.get("inner_iterations"),
         )
         return iterated_greedy(inst, ig)[1]

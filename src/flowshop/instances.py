@@ -266,17 +266,40 @@ def save_dataset(path, instances: list[Instance], spec: DatasetSpec | None = Non
 
 
 def read_dataset_header(path) -> dict:
+    """The checked JSON header of a dataset file; malformed headers raise ``DataError``.
+
+    Checks the format tag and version, that the header and each instance
+    entry are objects, and that ``count`` and every entry's ``m`` and
+    ``n`` are non-negative integers.
+    """
     with open(path, "rb") as fh:
         line = fh.readline()
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"unreadable dataset header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError("dataset header must be a JSON object")
     if header.get("format") != _FORMAT:
         raise DataError(f"not a {_FORMAT} file")
     if header.get("version") != _VERSION:
         raise DataError(f"unsupported dataset version {header.get('version')!r}, expected {_VERSION}")
+    _header_size(header.get("count"), "count")
+    entries = header.get("instances", [])
+    if not isinstance(entries, list):
+        raise DataError("dataset header 'instances' must be a list")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"dataset header instance {k} must be a JSON object")
+        _header_size(entry.get("m"), f"instance {k} 'm'")
+        _header_size(entry.get("n"), f"instance {k} 'n'")
     return header
+
+
+def _header_size(value, what: str) -> None:
+    # bool is an int subclass, but true/false is no size
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DataError(f"dataset header {what} must be a non-negative integer, got {value!r}")
 
 
 def load_dataset(path) -> list[Instance]:

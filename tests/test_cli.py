@@ -9,6 +9,8 @@ from flowshop.cli import main
 from flowshop.harness import report_from_json
 from flowshop.instances import load_dataset
 
+from test_instances import HEADER_CORRUPTIONS, rewrite_dataset_header
+
 
 def run(argv):
     return main(argv)
@@ -157,6 +159,15 @@ class TestExportAndExact:
         payload = json.loads(out.read_text())
         assert payload["neh_makespan"] >= payload["makespan"]
         assert sorted(payload["permutation"]) == list(range(6))
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("corrupt", HEADER_CORRUPTIONS.values(), ids=HEADER_CORRUPTIONS.keys())
+    def test_brute_force_exit_code_2(self, dataset, corrupt, capsys):
+        rewrite_dataset_header(dataset, corrupt)
+        rc = run(["brute-force", "--dataset", str(dataset), "--index", "0"])
+        assert rc == 2
+        assert "header" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -160,6 +160,17 @@ class TestMakespanBatch:
         with pytest.raises(ValidationError):
             makespan_batch(inst, np.zeros((3, 5), dtype=np.int64))
 
+    def test_float_rows_rejected(self, rng):
+        inst = random_instance(rng, n=4, m=2)
+        with pytest.raises(ValidationError, match="integer"):
+            makespan_batch(inst, np.array([[0.0, 1.0, 2.0, 3.0]]))
+
+    def test_out_of_range_index_raises_index_error(self, rng):
+        # rows are not validated; numpy's bounds check still applies
+        inst = random_instance(rng, n=4, m=2)
+        with pytest.raises(IndexError):
+            makespan_batch(inst, np.array([[0, 1, 2, 4]]))
+
 
 class TestGapPercent:
     def test_expert_zero_gap(self):

@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from flowshop.core import Instance, makespan
+from flowshop.core import Instance, makespan, makespan_batch
 from flowshop.errors import ValidationError
 from flowshop.exact import (
+    _lex_permutations,
     big_m_constants,
     brute_force,
     build_mip,
@@ -21,7 +22,41 @@ from flowshop.instances import DatasetSpec, generate
 from conftest import oracle_makespan, random_instance
 
 
+class TestLexPermutations:
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_equals_itertools_order(self, r):
+        table = _lex_permutations(r)
+        assert np.array_equal(table, np.array(list(itertools.permutations(range(r)))))
+
+    def test_cached_read_only(self):
+        table = _lex_permutations(8)
+        assert table is _lex_permutations(8)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
 class TestBruteForce:
+    def test_multi_block_ties_match_lexicographic_enumeration(self):
+        # n=9 spans nine 8!-row blocks; small integer times on two machines
+        # tie massively, so the first optimum in itertools order must win
+        # across block boundaries
+        rng = np.random.default_rng(91)
+        perms = np.array(list(itertools.permutations(range(9))))
+        for _ in range(2):
+            inst = Instance(rng.integers(1, 4, (2, 9)).astype(float))
+            values = makespan_batch(inst, perms)
+            k = int(np.argmin(values))
+            assert np.count_nonzero(values == values[k]) > 1
+            perm, value = brute_force(inst)
+            assert value == values[k]
+            assert np.array_equal(perm, perms[k])
+
+    def test_identical_jobs_identity_across_blocks(self):
+        inst = Instance(np.tile(np.array([[2.0], [1.0]]), (1, 9)))
+        perm, _ = brute_force(inst)
+        assert list(perm) == list(range(9))
+
     def test_identical_jobs_identity(self):
         inst = Instance(np.tile(np.array([[2.0], [1.0]]), (1, 4)))
         perm, _ = brute_force(inst)

@@ -6,6 +6,7 @@ import pytest
 from flowshop.core import gap_percent
 from flowshop.errors import DataError, ValidationError
 from flowshop.harness import (
+    DEFAULT_METHOD_PARAMS,
     ExperimentConfig,
     Report,
     ReportRow,
@@ -13,6 +14,7 @@ from flowshop.harness import (
     report_from_json,
     report_to_json,
     solve_dataset,
+    _run_method,
     sweep_sigma,
 )
 from flowshop.instances import DatasetSpec, generate
@@ -120,6 +122,34 @@ class TestSolveDataset:
         )
         assert serial.rows[0].per_instance_makespan == parallel.rows[0].per_instance_makespan
         assert parallel.metadata["timing_comparable"] is False
+
+
+class _ReadLog(dict):
+    """A params dict that records every key read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestDefaultMethodParams:
+    @pytest.mark.parametrize("method", ["ils", "ig"])
+    def test_every_key_read_has_a_default(self, method):
+        # absent max_time means no time limit, and an absent IG acceptance
+        # temperature resolves per instance in IgParams: neither needs a default
+        params = _ReadLog(DEFAULT_METHOD_PARAMS[method])
+        _run_method(small_dataset(count=1)[0], method, 0, params)
+        optional = {"max_time", "acceptance_temperature"}
+        assert params.read - optional <= set(DEFAULT_METHOD_PARAMS[method])
+        assert params.read >= set(DEFAULT_METHOD_PARAMS[method])
 
 
 class TestSweepSigma:

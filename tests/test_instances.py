@@ -157,6 +157,29 @@ class TestVrfParsing:
         assert np.array_equal(back.times, times)
 
 
+def _drop_n(header):
+    del header["instances"][0]["n"]
+    return header
+
+
+def _string_m(header):
+    header["instances"][0]["m"] = "3"
+    return header
+
+
+HEADER_CORRUPTIONS = {
+    "header_is_list": lambda header: [header],
+    "entry_without_n": _drop_n,
+    "string_m": _string_m,
+}
+
+
+def rewrite_dataset_header(path, corrupt):
+    """Replace a dataset file's JSON header line by ``corrupt(header)``."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(corrupt(json.loads(head))).encode() + b"\n" + body)
+
+
 class TestContainer:
     def test_round_trip_bit_identical(self, tmp_path):
         spec = DatasetSpec(count=20, jobs=8, machines=4, seed=5)
@@ -185,11 +208,7 @@ class TestContainer:
     def test_version_flip_rejected(self, tmp_path):
         path = tmp_path / "data.fsd"
         save_dataset(path, generate(DatasetSpec(count=1, jobs=3, machines=2, seed=0)))
-        raw = path.read_bytes()
-        head, body = raw.split(b"\n", 1)
-        header = json.loads(head)
-        header["version"] = 999
-        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        rewrite_dataset_header(path, lambda header: {**header, "version": 999})
         with pytest.raises(DataError, match="version"):
             load_dataset(path)
 
@@ -199,6 +218,16 @@ class TestContainer:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])  # drop one float64
         with pytest.raises(DataError, match="body"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("corrupt", HEADER_CORRUPTIONS.values(), ids=HEADER_CORRUPTIONS.keys())
+    def test_malformed_header_is_data_error(self, tmp_path, corrupt):
+        path = tmp_path / "data.fsd"
+        save_dataset(path, generate(DatasetSpec(count=2, jobs=3, machines=2, seed=0)))
+        rewrite_dataset_header(path, corrupt)
+        with pytest.raises(DataError, match="header"):
+            read_dataset_header(path)
+        with pytest.raises(DataError, match="header"):
             load_dataset(path)
 
     def test_not_a_dataset(self, tmp_path):
