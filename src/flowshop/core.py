@@ -108,17 +108,22 @@ def _completion(x: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _advance(front: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Fronts (m, B) after one more job per column; ``cols`` is (m, B) or (m, 1).
+def _advance(front, cols) -> None:
+    """Advance fronts (m, B) in place by one more job per column.
 
-    The one batched step of the recurrence, vectorized over the B columns.
+    ``front`` holds the m front rows and ``cols`` the job's m time rows,
+    each (B,) or (1,); either may be an (m, ...) array or a list of its
+    row views, which a caller stepping many times builds once. The one
+    batched step of the recurrence, vectorized over the B columns:
+    ``front[i] = max(front[i], front[i-1]) + cols[i]``, with no temporary.
     """
-    out = np.empty_like(front)
-    acc = np.zeros(front.shape[1])
-    for i in range(front.shape[0]):
-        acc = np.maximum(acc, front[i]) + cols[i]
-        out[i] = acc
-    return out
+    prev = front[0]
+    prev += cols[0]
+    for i in range(1, len(front)):
+        row = front[i]
+        np.maximum(row, prev, out=row)
+        row += cols[i]
+        prev = row
 
 
 def completion_times(inst: Instance, perm) -> np.ndarray:
@@ -138,12 +143,14 @@ def makespan(inst: Instance, perm) -> float:
 def makespan_batch(inst: Instance, perms: np.ndarray) -> np.ndarray:
     """Makespans of many permutations at once.
 
-    ``perms`` has shape (P, n), one permutation per row, with an integer
-    dtype. Only the dtype and the column count are checked; rows are not
-    validated (callers generate them), and an out-of-range index raises
-    numpy's ``IndexError``. Vectorized over P so enumeration and random
-    search stay cheap: each step gathers its (m, P) processing times into
-    one buffer reused across steps.
+    ``perms`` has shape (P, n), one permutation per row, with any integer
+    dtype (uint8 included). The dtype and the column count are checked,
+    and every entry is bounds-checked once per call: an index outside
+    [0, n), negative ones included, raises ``IndexError``. Rows are not
+    validated as permutations (callers generate them). Vectorized over P
+    so enumeration and random search stay cheap: each step gathers its
+    (m, P) processing times into one buffer and advances one (m, P)
+    front in place, both allocated once per call.
     """
     perms = np.asarray(perms)
     if not np.issubdtype(perms.dtype, np.integer):
@@ -151,11 +158,14 @@ def makespan_batch(inst: Instance, perms: np.ndarray) -> np.ndarray:
     p, n = perms.shape
     if n != inst.n:
         raise ValidationError(f"permutations have {n} columns, instance has {inst.n} jobs")
+    if p and (perms.min() < 0 or perms.max() >= n):
+        raise IndexError(f"job index out of range [0, {n})")
     front = np.zeros((inst.m, p))
     cols = np.empty((inst.m, p))
+    front_rows, col_rows = list(front), list(cols)
     for t in range(n):
-        np.take(inst.times, perms[:, t], axis=1, out=cols)
-        front = _advance(front, cols)
+        np.take(inst.times, perms[:, t], axis=1, out=cols, mode="clip")
+        _advance(front_rows, col_rows)
     return front[-1]
 
 

@@ -64,7 +64,10 @@ def brute_force(inst: Instance) -> tuple[np.ndarray, float]:
     lexicographic order too, so the blocks follow the global
     lexicographic order. Ties therefore return the lexicographically
     smallest optimal permutation, which is what strict improvement over
-    that stream yields for free.
+    that stream yields for free. For n <= 8 the cached read-only uint8
+    table is the one block, passed as it is; for n = 9-10 one uint8
+    block is refilled per head. The winner is returned as an owned int64
+    array.
     """
     if inst.n > BRUTE_FORCE_MAX_JOBS:
         raise ValidationError(
@@ -73,18 +76,19 @@ def brute_force(inst: Instance) -> tuple[np.ndarray, float]:
     n = inst.n
     table = _lex_permutations(min(n, _TABLE_JOBS))
     head_len = n - table.shape[1]
-    block = np.empty((table.shape[0], n), dtype=np.int64)
+    block = table if head_len == 0 else np.empty((table.shape[0], n), dtype=np.uint8)
     best_perm: np.ndarray | None = None
     best = np.inf
     for head in itertools.permutations(range(n), head_len):
-        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
-        block[:, :head_len] = head
-        block[:, head_len:] = rest[table]
+        if head:
+            rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.uint8)
+            block[:, :head_len] = head
+            block[:, head_len:] = rest[table]
         values = makespan_batch(inst, block)
         k = int(np.argmin(values))
         if values[k] < best:
             best = float(values[k])
-            best_perm = block[k].copy()
+            best_perm = block[k].astype(np.int64)
     return best_perm, best
 
 

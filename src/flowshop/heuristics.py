@@ -90,8 +90,9 @@ def insertion_makespans(times: np.ndarray, seq, job: int) -> np.ndarray:
     e[:, 1:] = _completion(p)
     q = np.zeros((m, length + 1))  # q[i, t] = tail of seq[t:] started on machine i
     q[:, :-1] = _completion(p[::-1, ::-1])[::-1, ::-1]
-    f = _advance(e, times[:, [job]])  # f[:, pos] = front of job inserted at pos
-    return (f + q).max(axis=0)
+    _advance(e, times[:, [job]])  # now f: f[:, pos] = front of job inserted at pos
+    e += q
+    return e.max(axis=0)
 
 
 def neh(inst: Instance) -> tuple[np.ndarray, float]:

@@ -284,22 +284,24 @@ def read_dataset_header(path) -> dict:
         raise DataError(f"not a {_FORMAT} file")
     if header.get("version") != _VERSION:
         raise DataError(f"unsupported dataset version {header.get('version')!r}, expected {_VERSION}")
-    _header_size(header.get("count"), "count")
+    _header_size(header.get("count"), "dataset header count")
     entries = header.get("instances", [])
     if not isinstance(entries, list):
         raise DataError("dataset header 'instances' must be a list")
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DataError(f"dataset header instance {k} must be a JSON object")
-        _header_size(entry.get("m"), f"instance {k} 'm'")
-        _header_size(entry.get("n"), f"instance {k} 'n'")
+        _header_size(entry.get("m"), f"dataset header instance {k} 'm'")
+        _header_size(entry.get("n"), f"dataset header instance {k} 'n'")
     return header
 
 
-def _header_size(value, what: str) -> None:
+def _header_size(value, what: str) -> int:
+    """``value`` if it is a non-negative integer, else ``DataError`` naming ``what``."""
     # bool is an int subclass, but true/false is no size
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DataError(f"dataset header {what} must be a non-negative integer, got {value!r}")
+        raise DataError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def load_dataset(path) -> list[Instance]:

@@ -70,6 +70,8 @@ class PolicyConfig:
             raise ValidationError("machines must be >= 1")
         if self.layers < 1:
             raise ValidationError("layers must be >= 1")
+        if self.hidden_dim < 1 or self.heads < 1:
+            raise ValidationError("hidden_dim and heads must be >= 1")
         if self.hidden_dim % self.heads != 0:
             raise ValidationError(
                 f"hidden_dim {self.hidden_dim} must be divisible by heads {self.heads}"

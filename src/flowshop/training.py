@@ -14,6 +14,7 @@ little-endian float32 tensors, parameters and batch-norm buffers alike.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -24,6 +25,7 @@ from .core import Instance, gap_percent, makespan
 from .env import ExpertTrace
 from .errors import DataError, ValidationError
 from .heuristics import neh
+from .instances import _header_size
 from .policy import PolicyConfig, PolicyParams, TraceBatch, bc_loss, rollout_greedy
 
 __all__ = [
@@ -241,7 +243,14 @@ def save_checkpoint(path, params: PolicyParams, epoch: int | None = None, metric
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
-    """Inverse of :func:`save_checkpoint`; returns params and the manifest."""
+    """Inverse of :func:`save_checkpoint`; returns params and the manifest.
+
+    A corrupt file raises ``DataError``: an unreadable manifest, a wrong
+    format or version, a ``policy`` entry that is not a valid
+    :class:`PolicyConfig`, or a tensor table that does not list exactly
+    the tensors of ``PolicyParams.init(config)``, each once, with its
+    kind and shape and a byte range inside the body.
+    """
     with open(path, "rb") as fh:
         line = fh.readline()
         body = fh.read()
@@ -249,20 +258,68 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
         manifest = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"unreadable checkpoint manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError("checkpoint manifest must be a JSON object")
     if manifest.get("format") != _FORMAT:
         raise DataError(f"not a {_FORMAT} file")
     if manifest.get("version") != _VERSION:
         raise DataError(f"unsupported checkpoint version {manifest.get('version')!r}")
-    config = PolicyConfig(**manifest["policy"])
+    config = _checkpoint_config(manifest.get("policy"), len(body))
+    reference = PolicyParams.init(config)
+    expected = {name: ("param", t.data.shape) for name, t in reference.tensors.items()}
+    expected.update((name, ("buffer", b.shape)) for name, b in reference.buffers.items())
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise DataError("checkpoint manifest 'tensors' must be a list")
     tensors: dict[str, Tensor] = {}
     buffers: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(body):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise DataError("checkpoint tensor entries must be JSON objects")
+        name = entry.get("name")
+        if not isinstance(name, str) or name not in expected:
+            raise DataError(f"checkpoint holds unknown tensor {name!r}")
+        if name in tensors or name in buffers:
+            raise DataError(f"checkpoint lists tensor {name!r} twice")
+        kind, shape = expected[name]
+        if entry.get("kind") != kind or entry.get("shape") != list(shape):
+            raise DataError(
+                f"checkpoint tensor {name!r} is {entry.get('kind')!r} {entry.get('shape')!r},"
+                f" expected {kind!r} {list(shape)!r}"
+            )
+        lo = _header_size(entry.get("offset"), f"checkpoint tensor {name!r} offset")
+        nbytes = _header_size(entry.get("nbytes"), f"checkpoint tensor {name!r} nbytes")
+        if nbytes != 4 * math.prod(shape):
+            raise DataError(f"checkpoint tensor {name!r} has {nbytes} bytes for shape {list(shape)}")
+        if lo + nbytes > len(body):
             raise DataError("checkpoint body is shorter than the manifest claims")
-        data = np.frombuffer(body[lo:hi], dtype="<f4").astype(np.float64).reshape(entry["shape"])
-        if entry["kind"] == "param":
-            tensors[entry["name"]] = Tensor(data, requires_grad=True)
+        data = np.frombuffer(body[lo : lo + nbytes], dtype="<f4").astype(np.float64).reshape(shape)
+        if kind == "param":
+            tensors[name] = Tensor(data, requires_grad=True)
         else:
-            buffers[entry["name"]] = data
+            buffers[name] = data
+    missing = sorted(set(expected).difference(tensors, buffers))
+    if missing:
+        raise DataError(f"checkpoint lacks tensors {missing}")
     return PolicyParams(config, tensors, buffers), manifest
+
+
+def _checkpoint_config(policy, body_bytes: int) -> PolicyConfig:
+    """The manifest's architecture, checked before any tensor is allocated.
+
+    Every architecture stores w_h (d, m), mha_wq (d, 3d) and five (d, d)
+    weights per layer, so a body too short for them is rejected before
+    ``PolicyParams.init`` would allocate a corrupt header's sizes.
+    """
+    if not isinstance(policy, dict):
+        raise DataError("checkpoint manifest 'policy' must be a JSON object")
+    try:
+        config = PolicyConfig(**policy)
+    except (TypeError, ValidationError) as exc:
+        raise DataError(f"invalid checkpoint policy: {exc}") from exc
+    d, m, layers = config.hidden_dim, config.machines, config.layers
+    if any(type(v) is not int for v in (d, m, layers, config.heads)):
+        raise DataError("checkpoint policy machines, hidden_dim, layers and heads must be integers")
+    if 4 * d * (m + 3 * d + 5 * d * layers) > body_bytes:
+        raise DataError("checkpoint body is shorter than its architecture needs")
+    return config

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion. The behavior-cloning criteria (6-8) share one training run via
-a session fixture; the whole module is sized for a laptop CPU.
+a session fixture; the whole module is sized for a laptop CPU, and marked
+``slow`` so that ``pytest -m "not slow"`` leaves it out of a quick run.
 """
 
 import hashlib
@@ -35,6 +36,8 @@ from test_instances import (
     VRF_MATRIX_SHA,
     _matrix_sha,
 )
+
+pytestmark = pytest.mark.slow
 
 
 def _report(criterion: int, detail: str) -> None:

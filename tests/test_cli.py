@@ -8,8 +8,11 @@ import pytest
 from flowshop.cli import main
 from flowshop.harness import report_from_json
 from flowshop.instances import load_dataset
+from flowshop.policy import PolicyParams
+from flowshop.training import save_checkpoint
 
 from test_instances import HEADER_CORRUPTIONS, rewrite_dataset_header
+from test_training import MANIFEST_CORRUPTIONS, TINY_POLICY, rewrite_checkpoint_manifest
 
 
 def run(argv):
@@ -168,6 +171,18 @@ class TestMalformedDataset:
         rc = run(["brute-force", "--dataset", str(dataset), "--index", "0"])
         assert rc == 2
         assert "header" in capsys.readouterr().err
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("corrupt", MANIFEST_CORRUPTIONS.values(), ids=MANIFEST_CORRUPTIONS.keys())
+    def test_eval_exit_code_2(self, dataset, tmp_path, corrupt, capsys):
+        ckpt = tmp_path / "model.fsc"
+        save_checkpoint(ckpt, PolicyParams.init(TINY_POLICY))
+        rewrite_checkpoint_manifest(ckpt, corrupt)
+        rc = run(["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                  "--out", str(tmp_path / "eval.json")])
+        assert rc == 2
+        assert "checkpoint" in capsys.readouterr().err
 
 
 class TestExitCodes:

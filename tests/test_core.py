@@ -166,10 +166,35 @@ class TestMakespanBatch:
             makespan_batch(inst, np.array([[0.0, 1.0, 2.0, 3.0]]))
 
     def test_out_of_range_index_raises_index_error(self, rng):
-        # rows are not validated; numpy's bounds check still applies
+        # rows are not validated as permutations, but every index is bounds-checked
         inst = random_instance(rng, n=4, m=2)
         with pytest.raises(IndexError):
             makespan_batch(inst, np.array([[0, 1, 2, 4]]))
+
+    def test_negative_index_raises_index_error(self, rng):
+        # a negative index must not wrap around to the last job
+        inst = random_instance(rng, n=3, m=2)
+        with pytest.raises(IndexError):
+            makespan_batch(inst, np.array([[0, 1, -1]]))
+
+    @pytest.mark.parametrize("dtype, m", [(np.uint8, 3), (np.int32, 3), (np.int64, 1)])
+    def test_row_dtypes_and_single_machine_match_oracle(self, rng, dtype, m):
+        inst = random_instance(rng, n=7, m=m)
+        perms = np.array([rng.permutation(7) for _ in range(30)], dtype=dtype)
+        expected = [oracle_makespan(inst.times, p) for p in perms]
+        assert np.array_equal(makespan_batch(inst, perms), expected)
+
+    def test_no_rows(self, rng):
+        inst = random_instance(rng, n=5, m=3)
+        out = makespan_batch(inst, np.empty((0, 5), dtype=np.int64))
+        assert out.shape == (0,)
+
+    def test_tie_heavy_integer_times_match_oracle(self, rng):
+        for _ in range(10):
+            inst = Instance(rng.integers(0, 3, (int(rng.integers(1, 6)), 6)).astype(float))
+            perms = np.array(list(itertools.permutations(range(6))))
+            expected = [oracle_makespan(inst.times, p) for p in perms]
+            assert np.array_equal(makespan_batch(inst, perms), expected)
 
 
 class TestGapPercent:

@@ -52,6 +52,16 @@ class TestBruteForce:
             assert value == values[k]
             assert np.array_equal(perm, perms[k])
 
+    def test_returns_owned_int64_and_leaves_table_alone(self, rng):
+        table = _lex_permutations(8)
+        before = table.copy()
+        perm, _ = brute_force(random_instance(rng, n=8, m=3))
+        assert perm.dtype == np.int64
+        assert perm.flags.writeable
+        assert not np.shares_memory(perm, table)
+        assert not table.flags.writeable
+        assert np.array_equal(table, before)
+
     def test_identical_jobs_identity_across_blocks(self):
         inst = Instance(np.tile(np.array([[2.0], [1.0]]), (1, 9)))
         perm, _ = brute_force(inst)

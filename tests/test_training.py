@@ -16,6 +16,24 @@ from flowshop.training import Adam, TrainConfig, evaluate, load_checkpoint, save
 TINY_POLICY = PolicyConfig(machines=3, hidden_dim=8, layers=1, heads=2)
 
 
+# in-place changes to a checkpoint manifest, each a corruption the loader must reject
+MANIFEST_CORRUPTIONS = {
+    "unknown_policy_key": lambda m: m["policy"].update(bogus=1),
+    "missing_policy": lambda m: m.pop("policy"),
+    "shape_not_matching_bytes": lambda m: m["tensors"][0].update(shape=[1]),
+    "negative_offset": lambda m: m["tensors"][0].update(offset=-4),
+    "missing_tensor": lambda m: m["tensors"].pop(),
+}
+
+
+def rewrite_checkpoint_manifest(path, change):
+    """Rewrite a checkpoint's JSON manifest line after ``change(manifest)``."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(head)
+    change(manifest)
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
+
+
 def tiny_train_config(**overrides) -> TrainConfig:
     base = dict(policy=TINY_POLICY, epochs=2, batch_size=4, learning_rate=1e-3, seed=0)
     base.update(overrides)
@@ -154,6 +172,21 @@ class TestCheckpoint:
         path = tmp_path / "bogus.fsc"
         path.write_bytes(b'{"format": "other", "version": 1, "tensors": []}\n')
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", MANIFEST_CORRUPTIONS.values(), ids=MANIFEST_CORRUPTIONS.keys())
+    def test_corrupt_manifest_is_data_error(self, tmp_path, corrupt):
+        path = tmp_path / "model.fsc"
+        save_checkpoint(path, PolicyParams.init(TINY_POLICY))
+        rewrite_checkpoint_manifest(path, corrupt)
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_architecture_larger_than_body_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "model.fsc"
+        save_checkpoint(path, PolicyParams.init(TINY_POLICY))
+        rewrite_checkpoint_manifest(path, lambda m: m["policy"].update(hidden_dim=2**20))
+        with pytest.raises(DataError, match="architecture"):
             load_checkpoint(path)
 
     def test_truncated_blob_rejected(self, tmp_path):
