@@ -19,6 +19,7 @@ import numpy as np
 from .core import Instance, validate_permutation
 from .errors import DataError, ValidationError
 from .heuristics import neh
+from .instances import _header_size
 
 __all__ = [
     "ScheduleState",
@@ -141,7 +142,12 @@ def save_traces(path, traces: list[ExpertTrace]) -> None:
 
 
 def load_traces(path, instances: list[Instance]) -> list[ExpertTrace]:
-    """Rebind stored action sequences to their instances (given in save order)."""
+    """Rebind stored action sequences to their instances (given in save order).
+
+    The header must be a JSON object with the format tag and version, a
+    ``count``, and ``instances`` and ``lengths`` lists of that size whose
+    lengths are non-negative integers; anything else raises ``DataError``.
+    """
     with open(path, "rb") as fh:
         line = fh.readline()
         body = fh.read()
@@ -149,22 +155,28 @@ def load_traces(path, instances: list[Instance]) -> list[ExpertTrace]:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"unreadable trace header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError("trace header must be a JSON object")
     if header.get("format") != _FORMAT:
         raise DataError(f"not a {_FORMAT} file")
     if header.get("version") != _VERSION:
         raise DataError(f"unsupported trace version {header.get('version')!r}")
-    lengths = header.get("lengths", [])
-    if header.get("count") != len(lengths):
-        raise DataError("trace header count disagrees with the length list")
-    if len(instances) != len(lengths):
-        raise DataError(f"trace file holds {len(lengths)} traces, got {len(instances)} instances")
+    count = _header_size(header.get("count"), "trace header count")
+    names, lengths = header.get("instances"), header.get("lengths")
+    if not isinstance(names, list) or not isinstance(lengths, list):
+        raise DataError("trace header 'instances' and 'lengths' must be lists")
+    if not count == len(names) == len(lengths):
+        raise DataError("trace header count disagrees with the instance and length lists")
+    lengths = [_header_size(v, f"trace header length {k}") for k, v in enumerate(lengths)]
+    if len(instances) != count:
+        raise DataError(f"trace file holds {count} traces, got {len(instances)} instances")
     expected = sum(lengths) * 4
     if len(body) != expected:
         raise DataError(f"trace body has {len(body)} bytes, expected {expected}")
     actions = np.frombuffer(body, dtype="<u4")
     out = []
     offset = 0
-    for inst, name, length in zip(instances, header["instances"], lengths):
+    for inst, name, length in zip(instances, names, lengths):
         if inst.name and name and inst.name != name:
             raise DataError(f"trace/instance name mismatch: {name!r} vs {inst.name!r}")
         out.append(ExpertTrace(inst, tuple(int(a) for a in actions[offset : offset + length])))

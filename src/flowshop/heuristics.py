@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, _advance, _completion, makespan, makespan_batch, validate_permutation
+from .core import Instance, _completion, makespan, makespan_batch, validate_permutation
 from .errors import ValidationError
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+_TIE_RTOL = 1e-9  # insertion makespans this close to the minimum tie
 
 
 @dataclass(frozen=True)
@@ -79,29 +80,57 @@ class IgParams:
 def insertion_makespans(times: np.ndarray, seq, job: int) -> np.ndarray:
     """Makespans of inserting ``job`` at every position of ``seq``.
 
-    Front/tail acceleration: prefix completion fronts e, suffix tails q,
-    and the inserted job's fronts f give makespan(pos) = max_i f[i,pos] +
-    q[i,pos] in O(m * len(seq)) total, instead of re-evaluating each of
-    the len(seq)+1 candidate sequences from scratch.
+    Front/tail acceleration (Taillard 1990): with e[:, t] the front
+    after the first t jobs of ``seq``, q[:, t] the tail of ``seq[t:]``
+    and f[:, t] the front of ``job`` placed after e[:, t],
+    makespan(t) = max_i f[i, t] + q[i, t], in O(m * len(seq)) instead
+    of re-evaluating each of the len(seq)+1 candidates. One gather
+    builds an (m, 2, len(seq)+1) block: the jobs of ``seq`` in order
+    and, machine-reversed, in reverse order, each behind a zero-time
+    sentinel job, so e[:, 0] and q[:, -1] come out as zeros. One
+    :func:`~flowshop.core._completion` scan yields both e and q, and a
+    machine-axis ``maximum.accumulate`` yields f. Integer-valued times
+    give bit-identical makespans; float times agree with a full
+    re-evaluation within 1e-9 relative.
     """
-    p = times[:, np.asarray(seq, dtype=np.int64)]
-    m, length = p.shape
-    e = np.zeros((m, length + 1))  # e[:, t] = front after the first t jobs
-    e[:, 1:] = _completion(p)
-    q = np.zeros((m, length + 1))  # q[i, t] = tail of seq[t:] started on machine i
-    q[:, :-1] = _completion(p[::-1, ::-1])[::-1, ::-1]
-    _advance(e, times[:, [job]])  # now f: f[:, pos] = front of job inserted at pos
-    e += q
-    return e.max(axis=0)
+    x = times.take([0, *seq, 0, *seq[::-1]], axis=1).reshape(len(times), 2, -1)
+    x[:, 1] = x[::-1, 1]
+    x[..., 0] = 0.0
+    c = _completion(x)
+    p = times[:, job]
+    through = np.add.accumulate(p)  # through[i]: job alone, done on machine i
+    f = c[:, 0] - (through - p)[:, None]
+    np.maximum.accumulate(f, axis=0, out=f)
+    f += through[:, None]  # f[i] = max(f[i-1], e[i]) + p[i]
+    f += c[::-1, 1, ::-1]
+    return np.maximum.reduce(f, axis=0)
+
+
+def _best_position(ms: np.ndarray, latest: bool) -> int:
+    """The written insertion tie rule: first or last position within ``_TIE_RTOL`` of the best.
+
+    Makespans within ``_TIE_RTOL`` relative of the minimum tie, so
+    rounding in the last bits never decides between positions. NEH
+    takes the latest tying position, the descents the earliest.
+    """
+    tied = ms <= float(ms.min()) * (1.0 + _TIE_RTOL)
+    if latest:
+        return len(ms) - 1 - int(tied[::-1].argmax())
+    return int(tied.argmax())
 
 
 def neh(inst: Instance) -> tuple[np.ndarray, float]:
     """NEH: sort jobs by nonincreasing total time, insert each at the best position.
 
-    Ties are broken deterministically: equal totals prefer the smaller
-    job index; equal insertion makespans keep the latest tying position,
+    Ties are broken by written rules: equal totals prefer the smaller job
+    index; insertion makespans within ``_TIE_RTOL`` relative of the
+    minimum tie, and the latest tying position wins (:func:`_best_position`),
     so degenerate instances (identical jobs, single machine) come out in
-    the phase-1 order rather than reversed.
+    the phase-1 order rather than reversed, and last-bit rounding of the
+    scan never picks the sequence. The permutation is a function of the
+    exact makespans; the returned value is the scan's, equal to the
+    recurrence to the bit on integer-valued times and within 1e-9
+    relative on float times.
     """
     totals = inst.times.sum(axis=0)
     order = np.lexsort((np.arange(inst.n), -totals))
@@ -109,7 +138,7 @@ def neh(inst: Instance) -> tuple[np.ndarray, float]:
     best = float(inst.times[:, order[0]].sum())
     for job in order[1:]:
         ms = insertion_makespans(inst.times, seq, int(job))
-        pos = len(ms) - 1 - int(np.argmin(ms[::-1]))
+        pos = _best_position(ms, latest=True)
         seq.insert(pos, int(job))
         best = float(ms[pos])
     return np.array(seq, dtype=np.int64), best
@@ -150,11 +179,12 @@ def local_search_insert(
     """First-improvement insertion descent: pop one job, reinsert at its best slot.
 
     Jobs are scanned by position; any strict improvement is applied
-    immediately and the scan continues. Stops at a local optimum (a full
+    immediately, at the earliest tying position (:func:`_best_position`),
+    and the scan continues. Stops at a local optimum (a full
     pass without improvement) or when the budget runs out. The result
     never exceeds the start's makespan.
     """
-    seq = list(validate_permutation(start, inst.n))
+    seq = validate_permutation(start, inst.n).tolist()
     cur = makespan(inst, seq)
     if inst.n < 2:
         return np.array(seq, dtype=np.int64), cur
@@ -176,7 +206,7 @@ def local_search_insert(
             job = seq[idx]
             rest = seq[:idx] + seq[idx + 1 :]
             ms = insertion_makespans(inst.times, rest, job)
-            pos = int(np.argmin(ms))
+            pos = _best_position(ms, latest=False)
             if ms[pos] < cur - _EPS:
                 seq = rest[:pos] + [job] + rest[pos:]
                 cur = float(ms[pos])
@@ -228,7 +258,8 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
     """Destruction/construction loop with SA-style constant-temperature acceptance.
 
     Each iteration removes ``d_jobs`` random jobs from the incumbent,
-    greedily reinserts them one by one at their best positions, runs the
+    greedily reinserts them one by one at their best positions (earliest
+    tying position, :func:`_best_position`), runs the
     insertion descent, then accepts improvements always and worsenings
     with probability exp(-delta/T). Returns the best visited solution.
     """
@@ -248,9 +279,9 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
 
     if params.init == "neh":
         cur_perm, cur = neh(inst)
-        cur_perm = list(cur_perm)
+        cur_perm = cur_perm.tolist()
     else:
-        cur_perm = list(rng.permutation(inst.n))
+        cur_perm = rng.permutation(inst.n).tolist()
         cur = makespan(inst, cur_perm)
     best_perm, best = np.array(cur_perm, dtype=np.int64), cur
 
@@ -264,13 +295,13 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
         partial = [j for i, j in enumerate(cur_perm) if i not in removed]
         for job in removed_jobs:
             ms = insertion_makespans(inst.times, partial, job)
-            pos = int(np.argmin(ms))
+            pos = _best_position(ms, latest=False)
             partial.insert(pos, job)
         cand_perm, cand_val = local_search_insert(inst, partial, inner)
         if cand_val < cur - _EPS:
-            cur_perm, cur = list(cand_perm), cand_val
+            cur_perm, cur = cand_perm.tolist(), cand_val
         elif temperature > 0 and rng.random() < math.exp(-(cand_val - cur) / temperature):
-            cur_perm, cur = list(cand_perm), cand_val
+            cur_perm, cur = cand_perm.tolist(), cand_val
         if cur < best - _EPS:
             best_perm, best = np.array(cur_perm, dtype=np.int64), cur
         if deadline is not None and time.perf_counter() >= deadline:

@@ -184,10 +184,8 @@ def build_graph(inst: Instance, rho: float = 0.2, scale: bool = False) -> JobGra
     diff = feats[:, None, :] - feats[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(dist, np.inf)
-    neighbors = np.empty((n, k), dtype=np.int64)
-    for j in range(n):
-        order = np.lexsort((np.arange(n), dist[j]))
-        neighbors[j] = order[:k]
+    # a stable sort keeps equal distances in index order: ties go to the lower index
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
     distances = np.take_along_axis(dist, neighbors, axis=1)
     return JobGraph(features=feats, neighbors=neighbors, distances=distances)
 

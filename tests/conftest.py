@@ -18,6 +18,12 @@ FROZEN_3X4 = np.array(
     ]
 )
 
+# Float agreement between the library and the oracle. The library's scan
+# re-associates float sums, so on float times the two agree only within
+# this relative tolerance; on integer-valued times every sum is exact and
+# they must agree to the bit.
+REL_TOL = 1e-9
+
 
 def oracle_completion(times: np.ndarray, perm) -> np.ndarray:
     """Spreadsheet-style cell-by-cell recurrence, independent of the library.

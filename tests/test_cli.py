@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from flowshop.cli import main
+from flowshop.env import record_expert_traces, save_traces
 from flowshop.harness import report_from_json
 from flowshop.instances import load_dataset
 from flowshop.policy import PolicyParams
 from flowshop.training import save_checkpoint
 
+from test_env import TRACE_HEADER_CORRUPTIONS
 from test_instances import HEADER_CORRUPTIONS, rewrite_dataset_header
 from test_training import MANIFEST_CORRUPTIONS, TINY_POLICY, rewrite_checkpoint_manifest
 
@@ -171,6 +173,18 @@ class TestMalformedDataset:
         rc = run(["brute-force", "--dataset", str(dataset), "--index", "0"])
         assert rc == 2
         assert "header" in capsys.readouterr().err
+
+
+class TestMalformedTraces:
+    @pytest.mark.parametrize("corrupt", TRACE_HEADER_CORRUPTIONS.values(), ids=TRACE_HEADER_CORRUPTIONS.keys())
+    def test_train_exit_code_2(self, dataset, tmp_path, corrupt, capsys):
+        traces = tmp_path / "traces.fst"
+        save_traces(traces, record_expert_traces(load_dataset(dataset)))
+        rewrite_dataset_header(traces, corrupt)
+        rc = run(["train", "--traces", str(traces), "--dataset", str(dataset), "--epochs", "1",
+                  "--out", str(tmp_path / "model.fsc")])
+        assert rc == 2
+        assert "trace header" in capsys.readouterr().err
 
 
 class TestMalformedCheckpoint:

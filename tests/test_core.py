@@ -17,7 +17,7 @@ from flowshop.core import (
 )
 from flowshop.errors import ValidationError
 
-from conftest import FROZEN_3X4, oracle_completion, oracle_makespan, random_instance
+from conftest import FROZEN_3X4, REL_TOL, oracle_completion, oracle_makespan, random_instance
 
 
 class TestInstance:
@@ -77,14 +77,22 @@ class TestCompletionTimes:
         perm = [2, 0, 3, 1]
         c = completion_times(frozen_3x4, perm)
         assert np.allclose(c, expected, atol=1e-12)
-        assert np.array_equal(c, oracle_completion(FROZEN_3X4, perm))
+        assert np.allclose(c, oracle_completion(FROZEN_3X4, perm), rtol=REL_TOL, atol=0)
+        # in hundredths every sum is an integer, so the scan matches to the bit
+        cents = np.round(FROZEN_3X4 * 100)
+        assert np.array_equal(completion_times(Instance(cents), perm), oracle_completion(cents, perm))
 
     def test_bit_identical_to_oracle_on_gamma_floats(self, rng):
-        # one max and one float64 add per cell, in the oracle's order
+        # the scan re-associates float sums: Gamma times agree within REL_TOL,
+        # the same draws scaled by 10 and floored to integers agree to the bit
         for _ in range(50):
             inst = random_instance(rng, n=int(rng.integers(1, 12)), m=int(rng.integers(1, 7)))
             perm = rng.permutation(inst.n)
-            assert np.array_equal(completion_times(inst, perm), oracle_completion(inst.times, perm))
+            expected = oracle_completion(inst.times, perm)
+            assert np.allclose(completion_times(inst, perm), expected, rtol=REL_TOL, atol=0)
+            whole = np.floor(inst.times * 10)
+            got = completion_times(Instance(whole), perm)
+            assert np.array_equal(got, oracle_completion(whole, perm))
 
     def test_invalid_permutation_rejected(self, frozen_3x4):
         with pytest.raises(ValidationError):
@@ -113,8 +121,10 @@ class TestMakespan:
 
     def test_all_permutations_match_oracle_4x3(self, rng):
         inst = random_instance(rng, n=4, m=3)
+        whole = Instance(np.floor(inst.times * 10))
         for perm in itertools.permutations(range(4)):
-            assert makespan(inst, perm) == oracle_makespan(inst.times, perm)
+            assert makespan(inst, perm) == pytest.approx(oracle_makespan(inst.times, perm), rel=REL_TOL)
+            assert makespan(whole, perm) == oracle_makespan(whole.times, perm)
 
     def test_equals_completion_corner(self, frozen_3x4):
         perm = [3, 1, 0, 2]
@@ -142,11 +152,15 @@ class TestMakespan:
 
 class TestMakespanBatch:
     def test_matches_scalar(self, rng):
+        # the batch runs the recurrence cell by cell, the scalar path the scan:
+        # equal within REL_TOL on float times, to the bit on integer times
         inst = random_instance(rng, n=6, m=4)
         perms = np.array([rng.permutation(6) for _ in range(40)])
         batch = makespan_batch(inst, perms)
         scalar = [makespan(inst, p) for p in perms]
-        assert np.array_equal(batch, scalar)
+        assert np.allclose(batch, scalar, rtol=REL_TOL, atol=0)
+        whole = Instance(np.floor(inst.times * 10))
+        assert np.array_equal(makespan_batch(whole, perms), [makespan(whole, p) for p in perms])
 
     def test_bit_identical_to_oracle_on_gamma_floats(self, rng):
         for _ in range(20):
@@ -159,6 +173,13 @@ class TestMakespanBatch:
         inst = random_instance(rng, n=6, m=4)
         with pytest.raises(ValidationError):
             makespan_batch(inst, np.zeros((3, 5), dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1, 3), ()])
+    def test_not_a_matrix_rejected(self, rng, shape):
+        # a single permutation or a 3-D block is a ValidationError, not an unpacking error
+        inst = random_instance(rng, n=3, m=2)
+        with pytest.raises(ValidationError, match="matrix"):
+            makespan_batch(inst, np.zeros(shape, dtype=np.int64))
 
     def test_float_rows_rejected(self, rng):
         inst = random_instance(rng, n=4, m=2)

@@ -18,6 +18,26 @@ from flowshop.heuristics import neh
 from flowshop.instances import DatasetSpec, generate
 
 from conftest import random_instance
+from test_instances import rewrite_dataset_header
+
+
+def _string_length(header):
+    header["lengths"][0] = "4"
+    return header
+
+
+def _drop_instances(header):
+    del header["instances"]
+    return header
+
+
+# Trace-file header corruptions that once escaped as AttributeError,
+# TypeError and KeyError; each must be a DataError (CLI exit code 2).
+TRACE_HEADER_CORRUPTIONS = {
+    "header_is_list": lambda header: [header],
+    "string_length": _string_length,
+    "without_instances": _drop_instances,
+}
 
 
 class TestResetStepMask:
@@ -140,6 +160,15 @@ class TestTraceIO:
         other = generate(DatasetSpec(count=2, jobs=4, machines=2, seed=3))
         with pytest.raises(DataError, match="name mismatch"):
             load_traces(tmp_path / "t.fst", other)
+
+    @pytest.mark.parametrize("corrupt", TRACE_HEADER_CORRUPTIONS.values(), ids=TRACE_HEADER_CORRUPTIONS.keys())
+    def test_malformed_header_is_data_error(self, tmp_path, corrupt):
+        insts = generate(DatasetSpec(count=2, jobs=4, machines=2, seed=2))
+        path = tmp_path / "t.fst"
+        save_traces(path, record_expert_traces(insts))
+        rewrite_dataset_header(path, corrupt)
+        with pytest.raises(DataError, match="trace header"):
+            load_traces(path, insts)
 
     def test_truncated_body(self, tmp_path):
         insts = generate(DatasetSpec(count=2, jobs=4, machines=2, seed=2))

@@ -18,38 +18,40 @@ from flowshop.heuristics import (
 )
 from flowshop.instances import DatasetSpec, generate
 
-from conftest import oracle_makespan, random_instance
+from conftest import REL_TOL, oracle_makespan, random_instance
 
 
-# NEH on Gamma(1, 2) 10x50 instances drawn from PCG64(seed). Insertion ties
-# are decided by last-bit rounding, so any reordering of the recurrence's
-# arithmetic changes these sequences; re-capture them only with a deliberate
-# change of the tie rule.
+# NEH on Gamma(1, 2) 10x50 instances drawn from PCG64(seed), captured under
+# the written tie rule: insertion makespans within REL_TOL relative of the
+# minimum tie and NEH keeps the latest tying position. Rounding in the last
+# bits therefore no longer picks the sequence, and a change that only
+# re-rounds the recurrence keeps it; re-capture only with a deliberate
+# change of the tie rule or of NEH itself. Values are pinned within REL_TOL.
 NEH_GOLDEN_50X10 = [
     (
         1000,
-        [37, 16, 40, 0, 46, 25, 28, 22, 23, 15, 45, 20, 13, 30, 6, 29, 43, 2, 4, 31, 27, 9, 38, 14, 3, 21, 33, 8, 44, 11, 17, 36, 32, 39, 24, 5, 7, 12, 41, 26, 35, 49, 48, 1, 47, 10, 42, 18, 19, 34],
-        122.51924995101957,
+        [40, 41, 42, 16, 25, 22, 15, 1, 13, 30, 6, 31, 8, 2, 20, 4, 28, 23, 27, 0, 9, 37, 38, 14, 3, 33, 44, 21, 7, 12, 39, 24, 43, 5, 35, 32, 48, 11, 17, 26, 49, 34, 46, 36, 47, 18, 29, 45, 19, 10],
+        125.85205928633954,
     ),
     (
         1001,
-        [23, 49, 1, 43, 17, 12, 5, 11, 10, 14, 19, 20, 16, 2, 4, 6, 48, 37, 45, 29, 35, 44, 31, 25, 13, 21, 7, 46, 34, 47, 3, 8, 27, 32, 33, 18, 9, 36, 41, 0, 26, 22, 15, 28, 24, 40, 39, 42, 38, 30],
-        136.31242865119316,
+        [1, 4, 49, 43, 10, 11, 2, 37, 23, 17, 12, 48, 47, 14, 5, 19, 46, 16, 6, 45, 29, 35, 44, 31, 25, 21, 13, 34, 7, 8, 32, 3, 28, 18, 9, 41, 36, 26, 20, 22, 15, 24, 40, 27, 39, 33, 0, 42, 30, 38],
+        136.44959667346583,
     ),
     (
         1002,
-        [49, 28, 36, 19, 11, 33, 45, 18, 22, 38, 2, 23, 15, 24, 8, 25, 41, 44, 20, 35, 39, 13, 37, 43, 30, 10, 17, 48, 42, 0, 3, 32, 16, 9, 34, 12, 1, 27, 47, 7, 14, 4, 21, 46, 31, 40, 5, 29, 26, 6],
-        129.30842835253168,
+        [11, 49, 0, 45, 18, 23, 38, 2, 16, 47, 15, 24, 25, 41, 46, 44, 35, 37, 22, 19, 20, 39, 28, 13, 8, 43, 30, 9, 10, 48, 31, 3, 32, 17, 12, 42, 27, 1, 14, 7, 5, 4, 6, 34, 21, 40, 33, 29, 36, 26],
+        131.50879251341843,
     ),
     (
         1003,
-        [21, 0, 16, 46, 7, 8, 34, 37, 18, 11, 14, 26, 33, 1, 6, 42, 36, 43, 20, 40, 5, 39, 3, 27, 19, 48, 31, 35, 2, 44, 12, 45, 15, 30, 38, 9, 22, 17, 29, 13, 25, 28, 49, 41, 4, 10, 47, 23, 24, 32],
-        146.13567547322762,
+        [1, 18, 26, 37, 16, 11, 7, 6, 34, 33, 36, 42, 5, 20, 39, 3, 40, 8, 10, 27, 0, 21, 2, 44, 22, 12, 17, 25, 13, 14, 45, 19, 43, 41, 9, 48, 4, 28, 49, 31, 47, 29, 15, 46, 35, 30, 38, 23, 24, 32],
+        145.81447322524076,
     ),
     (
         1004,
-        [34, 22, 45, 39, 36, 49, 2, 26, 44, 15, 24, 14, 0, 47, 48, 10, 41, 8, 35, 3, 13, 37, 16, 31, 29, 1, 4, 33, 30, 6, 5, 12, 9, 25, 17, 43, 21, 18, 46, 27, 19, 38, 28, 23, 32, 11, 40, 20, 42, 7],
-        125.85845559739795,
+        [8, 34, 14, 22, 36, 49, 2, 26, 44, 40, 15, 24, 47, 10, 41, 37, 35, 3, 16, 27, 39, 19, 31, 0, 29, 11, 4, 33, 30, 6, 48, 5, 12, 9, 25, 43, 13, 21, 45, 46, 17, 38, 28, 23, 32, 18, 20, 42, 1, 7],
+        127.57887509680937,
     ),
 ]
 
@@ -150,7 +152,8 @@ class TestNeh:
                 for pos in range(len(seq) + 1)
             )
             ms = insertion_makespans(inst.times, seq, int(job))
-            pos = len(ms) - 1 - int(np.argmin(ms[::-1]))  # same tie rule as neh()
+            # the written tie rule: the latest position within REL_TOL of the minimum
+            pos = max(k for k, v in enumerate(ms) if v <= min(ms) * (1 + REL_TOL))
             assert ms[pos] == pytest.approx(best, abs=1e-9)
             seq.insert(pos, int(job))
         perm, value = neh(inst)
@@ -161,7 +164,7 @@ class TestNeh:
         inst = Instance(np.random.Generator(np.random.PCG64(seed)).gamma(1.0, 2.0, (10, 50)))
         got, got_value = neh(inst)
         assert got.tolist() == perm
-        assert got_value == value
+        assert got_value == pytest.approx(value, rel=REL_TOL)
 
 
 class TestRandomSearch:
@@ -213,7 +216,7 @@ class TestLocalSearchInsert:
         inst = random_instance(rng, n=7, m=4)
         perm, value = local_search_insert(inst, rng.permutation(7))
         again, value2 = local_search_insert(inst, perm)
-        assert list(again) == list(perm) and value2 == value
+        assert list(again) == list(perm) and value2 == pytest.approx(value, rel=REL_TOL)
 
     def test_single_machine_unchanged(self, rng):
         inst = Instance(rng.gamma(1, 2, (1, 6)))

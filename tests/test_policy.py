@@ -80,6 +80,19 @@ class TestBuildGraph:
             assert list(g.neighbors[j]) == expected
             assert np.all(g.distances[j] == 0.0)
 
+    @pytest.mark.parametrize("n, m, rho", [(30, 3, 0.5), (17, 1, 0.2), (12, 2, 1.0)])
+    def test_lexsort_rule_on_tie_heavy_integer_features(self, rng, n, m, rho):
+        # small integer times: many exactly equal distances, broken by lower index
+        times = rng.integers(0, 3, (m, n)).astype(float)
+        g = build_graph(Instance(times), rho=rho)
+        sq = ((times.T[:, None, :] - times.T[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(sq, np.inf)
+        for j in range(n):
+            expected = np.lexsort((np.arange(n), sq[j]))[: g.k]
+            assert g.neighbors[j].tolist() == expected.tolist()
+            assert np.array_equal(g.distances[j], np.sqrt(sq[j, expected]))
+        assert g.neighbors.dtype == np.int64
+
     def test_matches_exhaustive_distance_sort(self, rng):
         inst = random_instance(rng, n=5, m=4)
         g = build_graph(inst, rho=0.4)
