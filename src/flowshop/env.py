@@ -19,7 +19,7 @@ import numpy as np
 from .core import Instance, validate_permutation
 from .errors import DataError, ValidationError
 from .heuristics import neh
-from .instances import _header_size
+from .instances import _header_size, _read_container
 
 __all__ = [
     "ScheduleState",
@@ -148,19 +148,7 @@ def load_traces(path, instances: list[Instance]) -> list[ExpertTrace]:
     ``count``, and ``instances`` and ``lengths`` lists of that size whose
     lengths are non-negative integers; anything else raises ``DataError``.
     """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"unreadable trace header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError("trace header must be a JSON object")
-    if header.get("format") != _FORMAT:
-        raise DataError(f"not a {_FORMAT} file")
-    if header.get("version") != _VERSION:
-        raise DataError(f"unsupported trace version {header.get('version')!r}")
+    header, body = _read_container(path, _FORMAT, _VERSION, "trace header")
     count = _header_size(header.get("count"), "trace header count")
     names, lengths = header.get("instances"), header.get("lengths")
     if not isinstance(names, list) or not isinstance(lengths, list):

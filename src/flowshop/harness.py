@@ -12,20 +12,24 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import json
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .core import Instance, gap_percent
+from .core import Instance, gap_percent, makespan
 from .errors import DataError, ValidationError
 from .heuristics import HeuristicBudget, IgParams, iterated_greedy, iterated_local_search, neh, random_search
 from .instances import DatasetSpec, generate
+from .policy import rollout_greedy
 from .stats import wilcoxon_signed_rank
+from .training import load_checkpoint
 
 __all__ = [
     "ExperimentConfig",
@@ -45,7 +49,7 @@ __all__ = [
 # NEH <= IG <= ILS <= RS emerges on generated Gamma data at n=20, m=5:
 # the insertion descent is strong enough that untruncated ILS/IG overtake
 # NEH, so their inner descents are budget-capped by default. This table is
-# the only source of defaults: ``_run_method`` reads its keys without
+# the only source of defaults: the solver adapters read its keys without
 # fallbacks, and every caller passes parameters merged from it.
 DEFAULT_METHOD_PARAMS: dict[str, dict] = {
     "rs": {"iterations": 100},
@@ -93,10 +97,13 @@ class Report:
     metadata: dict = field(default_factory=dict)
 
 
+@functools.cache
 def _git_revision() -> str | None:
+    """The package checkout's short commit, asked of git once per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=5,
@@ -121,75 +128,70 @@ def _budget(params: dict, seed: int) -> HeuristicBudget:
     )
 
 
-def _run_method(inst: Instance, method: str, seed: int, params: dict) -> float:
-    if method == "neh":
-        return neh(inst)[1]
-    if method == "rs":
-        return random_search(inst, _budget(params, seed))[1]
-    if method == "ils":
-        budget = _budget(params, seed)
-        return iterated_local_search(
-            inst,
-            budget,
-            params["perturbation_strength"],
-            inner_iterations=params.get("inner_iterations"),
-        )[1]
-    if method == "ig":
-        ig = IgParams(
-            d_jobs=params["d_jobs"],
-            acceptance_temperature=params.get("acceptance_temperature"),
-            budget=_budget(params, seed),
-            init=params["init"],
-            inner_iterations=params.get("inner_iterations"),
-        )
-        return iterated_greedy(inst, ig)[1]
-    raise ValidationError(f"unknown method {method!r}")
+# The solver table maps a name to solver(inst, seed, params) -> (perm, value).
+# Its adapters look each solver up by name at call time, so a rebound module
+# attribute (a tracer wrapping ``neh``, say) is what runs.
 
 
+def _neh(inst: Instance, seed: int, params: dict):
+    return neh(inst)
+
+
+def _rs(inst: Instance, seed: int, params: dict):
+    return random_search(inst, _budget(params, seed))
+
+
+def _ils(inst: Instance, seed: int, params: dict):
+    budget = _budget(params, seed)
+    return iterated_local_search(inst, budget, params["perturbation_strength"], params.get("inner_iterations"))
+
+
+def _ig(inst: Instance, seed: int, params: dict):
+    ig = IgParams(
+        d_jobs=params["d_jobs"],
+        acceptance_temperature=params.get("acceptance_temperature"),
+        budget=_budget(params, seed),
+        init=params["init"],
+        inner_iterations=params.get("inner_iterations"),
+    )
+    return iterated_greedy(inst, ig)
+
+
+def _policy(inst: Instance, seed: int, params: dict):
+    perm = rollout_greedy(params["model"], inst)
+    return perm, makespan(inst, perm)
+
+
+_SOLVERS = {"rs": _rs, "ils": _ils, "ig": _ig, "neh": _neh, "policy": _policy}
 HEURISTIC_METHODS = ("rs", "ils", "ig", "neh")
 
 
-def _parallel_task(args):
-    times, method, seed, params = args
-    return _run_method(Instance(times), method, seed, params)
-
-
 def _method_makespans(
-    instances: list[Instance],
-    method: str,
-    seed: int,
-    trial: int,
-    params: dict,
-    parallel: bool,
-) -> tuple[np.ndarray, float]:
+    instances: list[Instance], method: str, params: dict, seed: int, trial: int | None = None, parallel: bool = False
+) -> dict:
+    """One ``per_seed`` record: ``method``'s makespan on every instance and their summed wall time.
+
+    Instance ``idx`` runs with seed ``_trial_seed(seed, trial, idx)``; a
+    ``trial`` of None runs trial 0 and leaves the trial out of the record.
+    """
+    solver = _SOLVERS[method]
     started = time.perf_counter()
+    seeds = [_trial_seed(seed, trial or 0, idx) for idx in range(len(instances))]
     if parallel:
-        tasks = [
-            (inst.times, method, _trial_seed(seed, trial, idx), params)
-            for idx, inst in enumerate(instances)
-        ]
         with concurrent.futures.ProcessPoolExecutor() as pool:
-            values = list(pool.map(_parallel_task, tasks, chunksize=8))
-        result = np.array(values)
+            results = list(pool.map(solver, instances, seeds, [params] * len(instances), chunksize=8))
     else:
-        result = np.array(
-            [
-                _run_method(inst, method, _trial_seed(seed, trial, idx), params)
-                for idx, inst in enumerate(instances)
-            ]
-        )
-    return result, time.perf_counter() - started
+        results = [solver(inst, s, params) for inst, s in zip(instances, seeds)]
+    elapsed = time.perf_counter() - started
+    record = {"seed": seed} if trial is None else {"seed": seed, "trial": trial}
+    record.update(makespans=[float(value) for _, value in results], time_s=elapsed)
+    return record
 
 
-def _build_row(
-    method: str,
-    instances: list[Instance],
-    per_seed: list[dict],
-    expert_means: np.ndarray,
-    extra: dict | None = None,
-) -> ReportRow:
-    stacked = np.array([rec["makespans"] for rec in per_seed])  # (seeds, instances)
-    inst_means = stacked.mean(axis=0)
+def _build_row(method: str, instances: list[Instance], per_seed: list[dict], expert: dict, extra: dict) -> ReportRow:
+    """One method's row from its ``per_seed`` records, gaps against the ``expert`` record."""
+    expert_means = np.array(expert["makespans"])
+    inst_means = np.array([rec["makespans"] for rec in per_seed]).mean(axis=0)  # over seeds
     gaps = np.array([gap_percent(v, e) for v, e in zip(inst_means, expert_means)])
     row = ReportRow(
         method=method,
@@ -201,7 +203,7 @@ def _build_row(
         per_instance_makespan=[float(v) for v in inst_means],
         per_instance_gap_pct=[float(v) for v in gaps],
         per_seed=per_seed,
-        extra=dict(extra or {}),
+        extra=dict(extra),
     )
     try:
         test = wilcoxon_signed_rank(inst_means, expert_means)
@@ -227,31 +229,15 @@ def solve_dataset(instances: list[Instance], config: ExperimentConfig) -> Report
         if name not in HEURISTIC_METHODS:
             raise ValidationError(f"unknown method {name!r}")
 
-    def params_for(name: str) -> dict:
-        merged = dict(DEFAULT_METHOD_PARAMS.get(name, {}))
-        merged.update(config.method_params.get(name, {}))
-        return merged
+    def run(name: str, trial: int | None = None) -> dict:
+        params = {**DEFAULT_METHOD_PARAMS[name], **config.method_params.get(name, {})}
+        return _method_makespans(instances, name, params, config.seed, trial, config.parallel)
 
-    expert_values, expert_time = _method_makespans(
-        instances, config.expert, config.seed, 0, params_for(config.expert), config.parallel
-    )
-
+    expert = run(config.expert)
     rows = []
     for name in config.methods:
-        if name == config.expert:
-            per_seed = [
-                {"seed": config.seed, "makespans": [float(v) for v in expert_values], "time_s": expert_time}
-            ]
-        else:
-            per_seed = []
-            for trial in range(config.seeds):
-                values, elapsed = _method_makespans(
-                    instances, name, config.seed, trial, params_for(name), config.parallel
-                )
-                per_seed.append(
-                    {"seed": config.seed, "trial": trial, "makespans": [float(v) for v in values], "time_s": elapsed}
-                )
-        rows.append(_build_row(name, instances, per_seed, expert_values))
+        per_seed = [expert] if name == config.expert else [run(name, trial) for trial in range(config.seeds)]
+        rows.append(_build_row(name, instances, per_seed, expert, {}))
 
     metadata = {
         "git_revision": _git_revision(),
@@ -265,22 +251,14 @@ def solve_dataset(instances: list[Instance], config: ExperimentConfig) -> Report
     return Report(rows=rows, metadata=metadata)
 
 
-def evaluate_policy_rows(
-    checkpoint_path: str,
-    instances: list[Instance],
-    config: ExperimentConfig | None = None,
-    method_name: str = "policy",
-) -> Report:
+def evaluate_policy_rows(checkpoint_path: str, instances: list[Instance]) -> Report:
     """Roll out a trained checkpoint and report it in the solver schema."""
-    from .training import evaluate, load_checkpoint  # deferred: keeps harness light
-
     if not instances:
         raise DataError("empty dataset")
-    params, manifest = load_checkpoint(checkpoint_path)
-    expert_values = np.array([neh(inst)[1] for inst in instances])
-    result = evaluate(params, instances, expert_values)
-    per_seed = [{"seed": 0, "makespans": [float(v) for v in result["makespans"]], "time_s": result["time_s"]}]
-    row = _build_row(method_name, instances, per_seed, expert_values, extra={"checkpoint_epoch": manifest.get("epoch")})
+    model, manifest = load_checkpoint(checkpoint_path)
+    expert = _method_makespans(instances, "neh", {}, 0)
+    per_seed = [_method_makespans(instances, "policy", {"model": model}, 0)]
+    row = _build_row("policy", instances, per_seed, expert, {"checkpoint_epoch": manifest.get("epoch")})
     metadata = {
         "git_revision": _git_revision(),
         "checkpoint": str(checkpoint_path),
@@ -290,21 +268,28 @@ def evaluate_policy_rows(
     return Report(rows=[row], metadata=metadata)
 
 
-def _sweep_method_values(method: str, instances: list[Instance], seed: int) -> np.ndarray:
-    """Per-instance makespans for a sweep arm: heuristic name or policy:<ckpt>."""
-    if method.startswith("policy:"):
-        from .training import evaluate, load_checkpoint
+def _sweep(axis: str, specs: list[DatasetSpec], method_a: str, method_b: str, seed: int) -> list[ReportRow]:
+    """Both methods' rows on each spec's dataset, gaps vs NEH, tagged with the spec's ``axis`` value.
 
-        params, _ = load_checkpoint(method.split(":", 1)[1])
-        return evaluate(params, instances)["makespans"]
-    if method not in HEURISTIC_METHODS:
-        raise ValidationError(f"unknown sweep method {method!r}")
-    return np.array(
-        [
-            _run_method(inst, method, _trial_seed(seed, 0, idx), DEFAULT_METHOD_PARAMS.get(method, {}))
-            for idx, inst in enumerate(instances)
-        ]
-    )
+    A method is a heuristic name or ``policy:<ckpt>``; the checkpoint is
+    loaded once for the whole sweep.
+    """
+    arms = []
+    for method in (method_a, method_b):
+        if method.startswith("policy:"):
+            arms.append((method, "policy", {"model": load_checkpoint(method.split(":", 1)[1])[0]}))
+        elif method in HEURISTIC_METHODS:
+            arms.append((method, method, DEFAULT_METHOD_PARAMS[method]))
+        else:
+            raise ValidationError(f"unknown sweep method {method!r}")
+    rows = []
+    for spec in specs:
+        instances = generate(spec)
+        expert = _method_makespans(instances, "neh", {}, seed)
+        for method, name, params in arms:
+            per_seed = expert if name == "neh" else _method_makespans(instances, name, params, seed)
+            rows.append(_build_row(method, instances, [per_seed], expert, {axis: getattr(spec, axis)}))
+    return rows
 
 
 def sweep_sigma(
@@ -322,21 +307,11 @@ def sweep_sigma(
     At sigma=0 every job is identical, all permutations tie, and both
     methods' gaps are exactly zero.
     """
-    rows = []
-    for sigma in sigmas:
-        spec = DatasetSpec(
-            count=count, jobs=jobs, machines=machines, dist="normal", mu=mu, sigma=float(sigma), seed=seed
-        )
-        instances = generate(spec)
-        expert_values = np.array([neh(inst)[1] for inst in instances])
-        for method in (method_a, method_b):
-            started = time.perf_counter()
-            values = _sweep_method_values(method, instances, seed)
-            elapsed = time.perf_counter() - started
-            per_seed = [{"seed": seed, "makespans": [float(v) for v in values], "time_s": elapsed}]
-            rows.append(
-                _build_row(method, instances, per_seed, expert_values, extra={"sigma": float(sigma)})
-            )
+    specs = [
+        DatasetSpec(count=count, jobs=jobs, machines=machines, dist="normal", mu=mu, sigma=float(s), seed=seed)
+        for s in sigmas
+    ]
+    rows = _sweep("sigma", specs, method_a, method_b, seed)
     return Report(rows=rows, metadata={"sweep": "sigma", "sigmas": [float(s) for s in sigmas], "mu": mu})
 
 
@@ -349,17 +324,8 @@ def sweep_machines(
     seed: int = 0,
 ) -> Report:
     """Machine-count sweep over Gamma datasets (policies need matching m)."""
-    rows = []
-    for m in machine_counts:
-        spec = DatasetSpec(count=count, jobs=jobs, machines=int(m), dist="gamma", seed=seed)
-        instances = generate(spec)
-        expert_values = np.array([neh(inst)[1] for inst in instances])
-        for method in (method_a, method_b):
-            started = time.perf_counter()
-            values = _sweep_method_values(method, instances, seed)
-            elapsed = time.perf_counter() - started
-            per_seed = [{"seed": seed, "makespans": [float(v) for v in values], "time_s": elapsed}]
-            rows.append(_build_row(method, instances, per_seed, expert_values, extra={"machines": int(m)}))
+    specs = [DatasetSpec(count=count, jobs=jobs, machines=int(m), dist="gamma", seed=seed) for m in machine_counts]
+    rows = _sweep("machines", specs, method_a, method_b, seed)
     return Report(rows=rows, metadata={"sweep": "machines", "machine_counts": [int(m) for m in machine_counts]})
 
 

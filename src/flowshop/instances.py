@@ -272,18 +272,12 @@ def read_dataset_header(path) -> dict:
     entry are objects, and that ``count`` and every entry's ``m`` and
     ``n`` are non-negative integers.
     """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"unreadable dataset header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError("dataset header must be a JSON object")
-    if header.get("format") != _FORMAT:
-        raise DataError(f"not a {_FORMAT} file")
-    if header.get("version") != _VERSION:
-        raise DataError(f"unsupported dataset version {header.get('version')!r}, expected {_VERSION}")
+    return _read_dataset(path)[0]
+
+
+def _read_dataset(path) -> tuple[dict, bytes]:
+    """A dataset file's checked header and its body."""
+    header, body = _read_container(path, _FORMAT, _VERSION, "dataset header")
     _header_size(header.get("count"), "dataset header count")
     entries = header.get("instances", [])
     if not isinstance(entries, list):
@@ -293,7 +287,30 @@ def read_dataset_header(path) -> dict:
             raise DataError(f"dataset header instance {k} must be a JSON object")
         _header_size(entry.get("m"), f"dataset header instance {k} 'm'")
         _header_size(entry.get("n"), f"dataset header instance {k} 'n'")
-    return header
+    return header, body
+
+
+def _read_container(path, fmt: str, version: int, what: str) -> tuple[dict, bytes]:
+    """A container file's JSON header line and the body after it.
+
+    The header must decode to an object carrying ``fmt`` and ``version``;
+    anything else raises ``DataError`` naming ``what``. The callers check
+    their own keys.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        body = fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"unreadable {what}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{what} must be a JSON object")
+    if header.get("format") != fmt:
+        raise DataError(f"not a {fmt} file")
+    if header.get("version") != version:
+        raise DataError(f"unsupported {what} version {header.get('version')!r}, expected {version}")
+    return header, body
 
 
 def _header_size(value, what: str) -> int:
@@ -306,10 +323,7 @@ def _header_size(value, what: str) -> int:
 
 def load_dataset(path) -> list[Instance]:
     """Inverse of :func:`save_dataset`; exact to the bit."""
-    header = read_dataset_header(path)
-    with open(path, "rb") as fh:
-        fh.readline()
-        body = fh.read()
+    header, body = _read_dataset(path)
     entries = header.get("instances", [])
     if len(entries) != header.get("count"):
         raise DataError("dataset header count disagrees with the instance list")

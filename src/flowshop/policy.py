@@ -398,10 +398,10 @@ def decode_step(params: PolicyParams, acts: Activations, state: ScheduleState) -
 
 def rollout_greedy(params: PolicyParams, inst: Instance) -> np.ndarray:
     """Greedy argmax decode of a full permutation (ties pick the lowest index)."""
+    if inst.m != params.config.machines:
+        raise ValidationError(f"instance {inst.name!r} has {inst.m} machines, model expects {params.config.machines}")
     if inst.n == 1:
         return np.zeros(1, dtype=np.int64)
-    if inst.m != params.config.machines:
-        raise ValidationError(f"instance has {inst.m} machines, model expects {params.config.machines}")
     graph = _instance_graph(inst, params.config)
     acts = encode(params, graph, mode="eval")
     state = reset(inst)

@@ -25,7 +25,7 @@ from .core import Instance, gap_percent, makespan
 from .env import ExpertTrace
 from .errors import DataError, ValidationError
 from .heuristics import neh
-from .instances import _header_size
+from .instances import _header_size, _read_container
 from .policy import PolicyConfig, PolicyParams, TraceBatch, bc_loss, rollout_greedy
 
 __all__ = [
@@ -251,19 +251,7 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     the tensors of ``PolicyParams.init(config)``, each once, with its
     kind and shape and a byte range inside the body.
     """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        body = fh.read()
-    try:
-        manifest = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"unreadable checkpoint manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError("checkpoint manifest must be a JSON object")
-    if manifest.get("format") != _FORMAT:
-        raise DataError(f"not a {_FORMAT} file")
-    if manifest.get("version") != _VERSION:
-        raise DataError(f"unsupported checkpoint version {manifest.get('version')!r}")
+    manifest, body = _read_container(path, _FORMAT, _VERSION, "checkpoint manifest")
     config = _checkpoint_config(manifest.get("policy"), len(body))
     reference = PolicyParams.init(config)
     expected = {name: ("param", t.data.shape) for name, t in reference.tensors.items()}

@@ -1,23 +1,38 @@
 """Experiment harness: reports, gaps, sweeps, export formats."""
 
+import json
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from flowshop.core import gap_percent
+from flowshop.core import Instance, gap_percent
 from flowshop.errors import DataError, ValidationError
 from flowshop.harness import (
     DEFAULT_METHOD_PARAMS,
     ExperimentConfig,
     Report,
     ReportRow,
+    evaluate_policy_rows,
     export_report,
     report_from_json,
     report_to_json,
     solve_dataset,
-    _run_method,
+    _SOLVERS,
+    _git_revision,
+    sweep_machines,
     sweep_sigma,
 )
 from flowshop.instances import DatasetSpec, generate
+from flowshop.policy import PolicyConfig, PolicyParams
+from flowshop.training import save_checkpoint
+
+from conftest import FIXTURES
+
+
+GOLDEN_REPORTS = FIXTURES / "golden_reports.json"
+TINY_POLICY = PolicyConfig(machines=3, hidden_dim=8, layers=1, heads=2)
 
 
 def small_dataset(count=10, jobs=8, machines=3, seed=7):
@@ -124,6 +139,14 @@ class TestSolveDataset:
         assert parallel.metadata["timing_comparable"] is False
 
 
+class TestEvaluatePolicyRows:
+    def test_machine_mismatch_rejected_for_one_job(self, tmp_path):
+        checkpoint = tmp_path / "m3.fsc"
+        save_checkpoint(checkpoint, PolicyParams.init(TINY_POLICY))
+        with pytest.raises(ValidationError, match="machines"):
+            evaluate_policy_rows(str(checkpoint), [Instance(np.ones((5, 1)))])
+
+
 class _ReadLog(dict):
     """A params dict that records every key read from it."""
 
@@ -146,10 +169,26 @@ class TestDefaultMethodParams:
         # absent max_time means no time limit, and an absent IG acceptance
         # temperature resolves per instance in IgParams: neither needs a default
         params = _ReadLog(DEFAULT_METHOD_PARAMS[method])
-        _run_method(small_dataset(count=1)[0], method, 0, params)
+        _SOLVERS[method](small_dataset(count=1)[0], 0, params)
         optional = {"max_time", "acceptance_temperature"}
         assert params.read - optional <= set(DEFAULT_METHOD_PARAMS[method])
         assert params.read >= set(DEFAULT_METHOD_PARAMS[method])
+
+
+class TestGitRevision:
+    def test_same_from_any_directory_and_asked_once(self, monkeypatch, tmp_path):
+        _git_revision.cache_clear()
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        from_root = _git_revision()
+        _git_revision.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        assert _git_revision() == from_root
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a second call started a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        assert _git_revision() == from_root
 
 
 class TestSweepSigma:
@@ -200,3 +239,66 @@ class TestExport:
     def test_bad_json(self):
         with pytest.raises(DataError):
             report_from_json("{not json")
+
+
+def _masked(report, checkpoint):
+    """A report's JSON payload with wall times, the git revision and the checkpoint path masked."""
+    payload = json.loads(report_to_json(report).replace(str(checkpoint), "<ckpt>"))
+    for row in payload["rows"]:
+        row["time_s"] = "<masked>"
+        for rec in row["per_seed"]:
+            rec["time_s"] = "<masked>"
+    if "git_revision" in payload["metadata"]:
+        payload["metadata"]["git_revision"] = "<masked>"
+    return payload
+
+
+def golden_reports(workdir):
+    """Every harness report path on small seeded inputs, masked for comparison."""
+    checkpoint = workdir / "untrained.fsc"
+    save_checkpoint(checkpoint, PolicyParams.init(TINY_POLICY, seed=4), epoch=0)
+    insts = small_dataset(count=6, jobs=6, machines=3, seed=11)
+    reports = {
+        "solve_expert_neh": solve_dataset(
+            insts, ExperimentConfig(methods=("neh", "ig", "ils", "rs"), seeds=2, seed=3)
+        ),
+        "solve_expert_rs": solve_dataset(
+            insts, ExperimentConfig(methods=("neh", "rs", "ig"), seeds=2, seed=5, expert="rs")
+        ),
+        "sweep_sigma": sweep_sigma([0.0, 2.0, 5.0], "rs", "neh", count=6, jobs=6, machines=3, seed=1),
+        "sweep_machines": sweep_machines([2, 3], "ig", "ils", count=3, jobs=6, seed=1),
+        "evaluate_policy_rows": evaluate_policy_rows(str(checkpoint), insts),
+        "sweep_sigma_policy": sweep_sigma(
+            [0.0, 3.0], f"policy:{checkpoint}", "ils", count=3, jobs=7, machines=3, seed=2
+        ),
+    }
+    return {name: _masked(report, checkpoint) for name, report in reports.items()}
+
+
+class TestGoldenReports:
+    """Masked reports of every harness path against a stored capture.
+
+    Re-capture only on purpose, after a change meant to alter reports:
+    ``python tests/test_harness.py``.
+    """
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        return golden_reports(tmp_path_factory.mktemp("golden"))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["solve_expert_neh", "solve_expert_rs", "sweep_sigma", "sweep_machines",
+         "evaluate_policy_rows", "sweep_sigma_policy"],
+    )
+    def test_matches_golden(self, reports, name):
+        # compared as text so that key order, part of the JSON schema, is checked too
+        golden = json.loads(GOLDEN_REPORTS.read_text())[name]
+        assert json.dumps(reports[name]) == json.dumps(golden)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_REPORTS.write_text(json.dumps(golden_reports(Path(tmp)), indent=1) + "\n")

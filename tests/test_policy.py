@@ -350,6 +350,12 @@ class TestRolloutGreedy:
         with pytest.raises(ValidationError):
             rollout_greedy(params, random_instance(rng, n=4, m=3))
 
+    def test_machine_mismatch_single_job(self):
+        # the one-job shortcut must not skip the check: training.evaluate rejects the same input
+        inst = Instance(np.ones((5, 1)))
+        with pytest.raises(ValidationError, match="machines"):
+            rollout_greedy(tiny_params(), inst)
+
     def test_untrained_quality_near_single_random_sample(self):
         # an untrained net is an arbitrary fixed priority rule, so its mean can
         # drift ~10% either side of the uniform-sample mean; assert the regime:
