@@ -1,10 +1,17 @@
 """Command-line surface for datasets, solvers, training, and sweeps.
 
 Subcommands: generate, solve, train, eval, sweep-sigma, sweep-machines,
-export, emit-mip, brute-force. A JSON file passed via --config supplies
-defaults for any long option (dashes become underscores); explicit flags
-win. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure.
+export, emit-mip, brute-force. Every subcommand takes --config and --out;
+generate, solve, train and the sweeps take --seed; only solve takes
+--parallel. An option left unset keeps the library's default.
+
+--config names a JSON object whose entries parse as flags of the chosen
+subcommand, placed before the explicit flags so that those win. A key is
+the flag name without its dashes, words joined by ``-`` or ``_``; a string
+value is the flag's text, any other value its JSON text; a switch takes
+true or false; null leaves the option unset, and a key that names no
+option is ignored. Exit codes: 0 success, 1 usage error, 2 data error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -44,31 +51,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--config", default=None, help="JSON file with option defaults")
-    parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--parallel", action="store_true", default=None,
-                        help="run instances concurrently (timings lose comparability)")
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill options still at None from the --config JSON file."""
-    if not getattr(args, "config", None):
-        return args
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The --config file's entries as flag tokens of ``parser``'s subcommand."""
     try:
-        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid config JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
+    tokens = []
     for key, value in payload.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        action = parser._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config") or value is None:
+            continue
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+        elif not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} is a switch and takes true or false, not {value!r}")
+        elif value:
+            tokens.append(flag)
+    return tokens
+
+
+class _ConfigFile(argparse.Action):
+    """Stores the --config file as flag tokens; main() parses them ahead of the explicit flags."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        setattr(namespace, self.dest, _config_flags(parser, path))
+
+
+def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
+    """Keyword arguments from the options that were set: ``names`` as they are, ``field=option`` renamed."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {field: getattr(args, name) for field, name in pairs if hasattr(args, name)}
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -84,7 +102,18 @@ def _load_instances(path: str):
         raise DataError(f"dataset not found: {path}") from exc
 
 
-def _write(path: str | None, text: str) -> None:
+def _indexed_instance(args: argparse.Namespace):
+    """The --index-th instance of --dataset."""
+    _require(args, "dataset")
+    instances = _load_instances(args.dataset)
+    if not 0 <= args.index < len(instances):
+        raise DataError(f"instance index {args.index} out of range [0, {len(instances)})")
+    return instances[args.index]
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
+    """Write ``text`` to --out, or to stdout without one."""
+    path = getattr(args, "out", None)
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:
@@ -96,17 +125,7 @@ def _write(path: str | None, text: str) -> None:
 
 def _cmd_generate(args) -> int:
     _require(args, "out", "count", "jobs", "machines")
-    spec = DatasetSpec(
-        count=args.count,
-        jobs=args.jobs,
-        machines=args.machines,
-        dist=args.dist or "gamma",
-        k=args.k if args.k is not None else 1.0,
-        theta=args.theta if args.theta is not None else 2.0,
-        mu=args.mu if args.mu is not None else 6.0,
-        sigma=args.sigma if args.sigma is not None else 6.0,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    spec = DatasetSpec(**_given(args, "count", "jobs", "machines", "dist", "k", "theta", "mu", "sigma", "seed"))
     save_dataset(args.out, generate(spec), spec)
     print(f"wrote {spec.count} instances to {args.out}")
     return 0
@@ -114,23 +133,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     _require(args, "dataset")
-    methods = tuple(m.strip() for m in (args.methods or "neh,ig,ils,rs").split(",") if m.strip())
+    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     for name in methods:
         if name not in HEURISTIC_METHODS:
             raise UsageError(f"unknown method {name!r}; choose from {', '.join(HEURISTIC_METHODS)}")
-    expert = args.expert or "neh"
-    if expert not in HEURISTIC_METHODS:
-        raise UsageError(f"unknown expert {expert!r}")
-    config = ExperimentConfig(
-        methods=methods,
-        seeds=args.seeds if args.seeds is not None else 3,
-        seed=args.seed if args.seed is not None else 0,
-        expert=expert,
-        method_params=args.method_params or {},
-        parallel=bool(args.parallel),
-    )
+    given = _given(args, "seeds", "seed", "expert", "method_params", "parallel")
+    config = ExperimentConfig(methods=methods, **given)
     report = solve_dataset(_load_instances(args.dataset), config)
-    _write(args.out, report_to_json(report))
+    _write(args, report_to_json(report))
     for row in report.rows:
         print(f"{row.method:>6}: makespan {row.mean_makespan:.2f}  gap {row.mean_gap_pct:+.2f}%  time {row.time_s:.2f}s")
     return 0
@@ -139,7 +149,7 @@ def _cmd_solve(args) -> int:
 def _cmd_train(args) -> int:
     _require(args, "dataset", "out")
     instances = _load_instances(args.dataset)
-    if args.traces:
+    if getattr(args, "traces", None):
         from .env import load_traces
 
         traces = load_traces(args.traces, instances)
@@ -147,31 +157,20 @@ def _cmd_train(args) -> int:
         from .env import record_expert_traces
 
         traces = record_expert_traces(instances)
-    machines = instances[0].m
     policy = PolicyConfig(
-        machines=machines,
-        hidden_dim=args.hidden_dim if args.hidden_dim is not None else 128,
-        layers=args.layers if args.layers is not None else 3,
-        heads=args.heads if args.heads is not None else 8,
-        neighbor_fraction=args.neighbor_fraction if args.neighbor_fraction is not None else 0.2,
-        aggregation=args.aggregation or "mean",
-        normalization=args.normalization or "batch",
+        machines=instances[0].m,
+        **_given(args, "hidden_dim", "layers", "heads", "neighbor_fraction", "aggregation", "normalization"),
     )
     config = TrainConfig(
         policy=policy,
-        epochs=args.epochs if args.epochs is not None else 20,
-        batch_size=args.batch_size if args.batch_size is not None else 128,
-        learning_rate=args.lr if args.lr is not None else 1e-4,
-        lr_decay=args.lr_decay if args.lr_decay is not None else 0.96,
-        seed=args.seed if args.seed is not None else 0,
         checkpoint_path=args.out,
-        checkpoint_every=args.checkpoint_every if args.checkpoint_every is not None else 0,
-        log_path=args.log,
-        traces_path=args.traces,
         dataset_path=args.dataset,
-        val_dataset_path=args.val_dataset,
+        **_given(
+            args, "epochs", "batch_size", "lr_decay", "seed", "checkpoint_every",
+            learning_rate="lr", log_path="log", traces_path="traces", val_dataset_path="val_dataset",
+        ),
     )
-    val_instances = _load_instances(args.val_dataset) if args.val_dataset else None
+    val_instances = _load_instances(config.val_dataset_path) if config.val_dataset_path else None
     _, history = train(config, traces, val_instances)
     last = history[-1]
     gap = "n/a" if last["val_gap"] is None else f"{last['val_gap']:.2f}%"
@@ -181,35 +180,25 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _require(args, "checkpoint", "dataset")
-    instances = _load_instances(args.dataset)
-    report = evaluate_policy_rows(args.checkpoint, instances)
-    _write(args.out, report_to_json(report))
+    report = evaluate_policy_rows(args.checkpoint, _load_instances(args.dataset))
+    _write(args, report_to_json(report))
     row = report.rows[0]
     print(f"policy: makespan {row.mean_makespan:.2f}  gap {row.mean_gap_pct:+.2f}%  time {row.time_s:.2f}s")
     return 0
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _number_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"{flag} expects a comma-separated number list") from exc
+        raise argparse.ArgumentTypeError(f"expects a comma-separated number list, not {text!r}") from exc
 
 
 def _cmd_sweep_sigma(args) -> int:
     _require(args, "method_a", "method_b")
-    sigmas = _parse_float_list(args.sigmas or "0,2,4,6", "--sigmas")
-    report = sweep_sigma(
-        sigmas,
-        args.method_a,
-        args.method_b,
-        count=args.count if args.count is not None else 50,
-        jobs=args.jobs if args.jobs is not None else 20,
-        machines=args.machines if args.machines is not None else 5,
-        mu=args.mu if args.mu is not None else 6.0,
-        seed=args.seed if args.seed is not None else 0,
-    )
-    _write(args.out, report_to_json(report))
+    given = _given(args, "count", "jobs", "machines", "mu", "seed")
+    report = sweep_sigma(args.sigmas, args.method_a, args.method_b, **given)
+    _write(args, report_to_json(report))
     for row in report.rows:
         print(f"sigma={row.extra['sigma']:g} {row.method:>12}: gap {row.mean_gap_pct:+.3f}%")
     return 0
@@ -217,16 +206,8 @@ def _cmd_sweep_sigma(args) -> int:
 
 def _cmd_sweep_machines(args) -> int:
     _require(args, "method_a", "method_b")
-    machine_counts = [int(v) for v in _parse_float_list(args.machines_list or "5,10", "--machines-list")]
-    report = sweep_machines(
-        machine_counts,
-        args.method_a,
-        args.method_b,
-        count=args.count if args.count is not None else 50,
-        jobs=args.jobs if args.jobs is not None else 20,
-        seed=args.seed if args.seed is not None else 0,
-    )
-    _write(args.out, report_to_json(report))
+    report = sweep_machines(args.machines_list, args.method_a, args.method_b, **_given(args, "count", "jobs", "seed"))
+    _write(args, report_to_json(report))
     for row in report.rows:
         print(f"m={row.extra['machines']} {row.method:>12}: gap {row.mean_gap_pct:+.3f}%")
     return 0
@@ -234,43 +215,28 @@ def _cmd_sweep_machines(args) -> int:
 
 def _cmd_export(args) -> int:
     _require(args, "report")
-    fmt = args.format or "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown export format {fmt!r}")
     try:
-        text = Path(args.report).read_text(encoding="utf-8")
+        blob = Path(args.report).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read report: {exc}") from exc
-    report = report_from_json(text)
-    _write(args.out, export_report(report, fmt))
+    _write(args, export_report(report_from_json(blob), args.format))
     return 0
 
 
 def _cmd_emit_mip(args) -> int:
-    _require(args, "dataset")
-    instances = _load_instances(args.dataset)
-    index = args.index if args.index is not None else 0
-    if not 0 <= index < len(instances):
-        raise DataError(f"instance index {index} out of range [0, {len(instances)})")
-    inst = instances[index]
-    text = emit_mip(inst)
-    out = args.out
+    inst = _indexed_instance(args)
+    out = getattr(args, "out", None)
     if out is None:
-        out = f"{inst.name or f'instance-{index}'}.lp"
+        out = f"{inst.name or f'instance-{args.index}'}.lp"
     elif Path(out).is_dir():
-        out = str(Path(out) / f"{inst.name or f'instance-{index}'}.lp")
-    Path(out).write_text(text, encoding="utf-8", newline="\n")
+        out = str(Path(out) / f"{inst.name or f'instance-{args.index}'}.lp")
+    Path(out).write_text(emit_mip(inst), encoding="utf-8", newline="\n")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_brute_force(args) -> int:
-    _require(args, "dataset")
-    instances = _load_instances(args.dataset)
-    index = args.index if args.index is not None else 0
-    if not 0 <= index < len(instances):
-        raise DataError(f"instance index {index} out of range [0, {len(instances)})")
-    inst = instances[index]
+    inst = _indexed_instance(args)
     perm, value = brute_force(inst)
     payload = {"instance": inst.name, "permutation": [int(v) for v in perm], "makespan": value}
     if args.neh_gap:
@@ -278,7 +244,7 @@ def _cmd_brute_force(args) -> int:
 
         payload["neh_makespan"] = neh(inst)[1]
         payload["neh_gap_pct"] = gap_percent(payload["neh_makespan"], value)
-    _write(args.out, json.dumps(payload, indent=2))
+    _write(args, json.dumps(payload, indent=2))
     return 0
 
 
@@ -286,102 +252,101 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="flowshop", description="Permutation flow-shop scheduling toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("generate", parents=[], help="generate a dataset file")
-    _common_flags(p)
-    p.add_argument("--dist", choices=["gamma", "normal"], default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--machines", type=int, default=None)
-    p.add_argument("--k", type=float, default=None, help="gamma shape")
-    p.add_argument("--theta", type=float, default=None, help="gamma scale")
-    p.add_argument("--mu", type=float, default=None, help="normal mean")
-    p.add_argument("--sigma", type=float, default=None, help="normal std (clamped at 0)")
-    p.set_defaults(func=_cmd_generate)
+    def command(name: str, func, help: str) -> _Parser:
+        # unset options stay out of the namespace, so the library's defaults apply
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", action=_ConfigFile, help="JSON file of option values; explicit flags win")
+        p.add_argument("--out", help="output path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="run heuristics over a dataset")
-    _common_flags(p)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--methods", default=None, help="comma list from: rs,ils,ig,neh")
-    p.add_argument("--seeds", type=int, default=None, help="number of trials (default 3)")
-    p.add_argument("--expert", default=None, help="gap reference method (default neh)")
-    p.add_argument("--method-params", type=json.loads, default=None,
+    p = command("generate", _cmd_generate, "generate a dataset file")
+    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--dist", choices=["gamma", "normal"])
+    p.add_argument("--count", type=int)
+    p.add_argument("--jobs", type=int)
+    p.add_argument("--machines", type=int)
+    p.add_argument("--k", type=float, help="gamma shape")
+    p.add_argument("--theta", type=float, help="gamma scale")
+    p.add_argument("--mu", type=float, help="normal mean")
+    p.add_argument("--sigma", type=float, help="normal std (clamped at 0)")
+
+    p = command("solve", _cmd_solve, "run heuristics over a dataset")
+    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--parallel", action="store_true", help="run instances concurrently (timings lose comparability)")
+    p.add_argument("--dataset")
+    p.add_argument("--methods", default="neh,ig,ils,rs", help="comma list from: rs,ils,ig,neh")
+    p.add_argument("--seeds", type=int, help="number of trials (default 3)")
+    p.add_argument("--expert", choices=HEURISTIC_METHODS, help="gap reference method (default neh)")
+    p.add_argument("--method-params", type=json.loads,
                    help='JSON dict of per-method overrides, e.g. {"rs": {"iterations": 1000}}')
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("train", help="behavior-clone the expert from traces")
-    _common_flags(p)
-    p.add_argument("--traces", default=None, help="trace file; omitted = record NEH traces now")
-    p.add_argument("--dataset", default=None, help="instances backing the traces")
-    p.add_argument("--val-dataset", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lr-decay", type=float, default=None)
-    p.add_argument("--hidden-dim", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--neighbor-fraction", type=float, default=None)
-    p.add_argument("--aggregation", choices=["mean", "sum", "max"], default=None)
-    p.add_argument("--normalization", choices=["batch", "layer", "none"], default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--log", default=None, help="JSONL training log path")
-    p.set_defaults(func=_cmd_train)
+    p = command("train", _cmd_train, "behavior-clone the expert from traces")
+    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--traces", help="trace file; omitted = record NEH traces now")
+    p.add_argument("--dataset", help="instances backing the traces")
+    p.add_argument("--val-dataset")
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--lr-decay", type=float)
+    p.add_argument("--hidden-dim", type=int)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--heads", type=int)
+    p.add_argument("--neighbor-fraction", type=float)
+    p.add_argument("--aggregation", choices=["mean", "sum", "max"])
+    p.add_argument("--normalization", choices=["batch", "layer", "none"])
+    p.add_argument("--checkpoint-every", type=int)
+    p.add_argument("--log", help="JSONL training log path")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _common_flags(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--dataset", default=None)
-    p.set_defaults(func=_cmd_eval)
+    p = command("eval", _cmd_eval, "evaluate a checkpoint on a dataset")
+    p.add_argument("--checkpoint")
+    p.add_argument("--dataset")
 
-    p = sub.add_parser("sweep-sigma", help="job-difference sweep at fixed mu")
-    _common_flags(p)
-    p.add_argument("--sigmas", default=None, help="comma list, default 0,2,4,6")
-    p.add_argument("--method-a", default=None, help="heuristic name or policy:<checkpoint>")
-    p.add_argument("--method-b", default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--machines", type=int, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.set_defaults(func=_cmd_sweep_sigma)
+    p = command("sweep-sigma", _cmd_sweep_sigma, "job-difference sweep at fixed mu")
+    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--sigmas", type=_number_list, default="0,2,4,6", help="comma list, default 0,2,4,6")
+    p.add_argument("--method-a", help="heuristic name or policy:<checkpoint>")
+    p.add_argument("--method-b")
+    p.add_argument("--count", type=int)
+    p.add_argument("--jobs", type=int)
+    p.add_argument("--machines", type=int)
+    p.add_argument("--mu", type=float)
 
-    p = sub.add_parser("sweep-machines", help="machine-count sweep on Gamma data")
-    _common_flags(p)
-    p.add_argument("--machines-list", default=None, help="comma list, default 5,10")
-    p.add_argument("--method-a", default=None)
-    p.add_argument("--method-b", default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.set_defaults(func=_cmd_sweep_machines)
+    p = command("sweep-machines", _cmd_sweep_machines, "machine-count sweep on Gamma data")
+    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--machines-list", type=_number_list, default="5,10", help="comma list, default 5,10")
+    p.add_argument("--method-a")
+    p.add_argument("--method-b")
+    p.add_argument("--count", type=int)
+    p.add_argument("--jobs", type=int)
 
-    p = sub.add_parser("export", help="convert a report to csv or json")
-    _common_flags(p)
-    p.add_argument("--report", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.set_defaults(func=_cmd_export)
+    p = command("export", _cmd_export, "convert a report to csv or json")
+    p.add_argument("--report")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("emit-mip", help="write the LP-format model of one instance")
-    _common_flags(p)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--index", type=int, default=None)
-    p.set_defaults(func=_cmd_emit_mip)
+    p = command("emit-mip", _cmd_emit_mip, "write the LP-format model of one instance")
+    p.add_argument("--dataset")
+    p.add_argument("--index", type=int, default=0)
 
-    p = sub.add_parser("brute-force", help="exact optimum of one small instance")
-    _common_flags(p)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--index", type=int, default=None)
-    p.add_argument("--neh-gap", action="store_true", help="also report the NEH gap")
-    p.set_defaults(func=_cmd_brute_force)
+    p = command("brute-force", _cmd_brute_force, "exact optimum of one small instance")
+    p.add_argument("--dataset")
+    p.add_argument("--index", type=int, default=0)
+    p.add_argument("--neh-gap", action="store_true", default=False, help="also report the NEH gap")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("a subcommand is required (see --help)")
-        args = _merge_config(args)
+        if hasattr(args, "config"):  # parse again with the file's flags right after the subcommand
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + args.config + argv[at:])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

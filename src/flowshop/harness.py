@@ -11,6 +11,7 @@ the wall-clock sum over instances (averaged across seeds); with
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import hashlib
@@ -18,7 +19,7 @@ import io
 import json
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,15 @@ DEFAULT_METHOD_PARAMS: dict[str, dict] = {
     "ils": {"iterations": 3, "inner_iterations": 10, "perturbation_strength": 2},
     "ig": {"iterations": 5, "inner_iterations": 10, "d_jobs": 4, "init": "random"},
     "neh": {},
+}
+# The keys the adapters read without a default: an absent max_time means no
+# time limit, and an absent IG acceptance temperature resolves per instance in
+# IgParams. With the keys above they are all that a method's params may name.
+_OPTIONAL_METHOD_PARAMS: dict[str, set] = {
+    "rs": {"max_time"},
+    "ils": {"max_time"},
+    "ig": {"max_time", "acceptance_temperature"},
+    "neh": set(),
 }
 
 
@@ -167,21 +177,26 @@ HEURISTIC_METHODS = ("rs", "ils", "ig", "neh")
 
 
 def _method_makespans(
-    instances: list[Instance], method: str, params: dict, seed: int, trial: int | None = None, parallel: bool = False
+    instances: list[Instance],
+    method: str,
+    params: dict,
+    seed: int,
+    trial: int | None = None,
+    pool: concurrent.futures.Executor | None = None,
 ) -> dict:
     """One ``per_seed`` record: ``method``'s makespan on every instance and their summed wall time.
 
     Instance ``idx`` runs with seed ``_trial_seed(seed, trial, idx)``; a
     ``trial`` of None runs trial 0 and leaves the trial out of the record.
+    Given an executor ``pool``, the instances run in its workers.
     """
     solver = _SOLVERS[method]
     started = time.perf_counter()
     seeds = [_trial_seed(seed, trial or 0, idx) for idx in range(len(instances))]
-    if parallel:
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(solver, instances, seeds, [params] * len(instances), chunksize=8))
-    else:
+    if pool is None:
         results = [solver(inst, s, params) for inst, s in zip(instances, seeds)]
+    else:
+        results = list(pool.map(solver, instances, seeds, [params] * len(instances), chunksize=8))
     elapsed = time.perf_counter() - started
     record = {"seed": seed} if trial is None else {"seed": seed, "trial": trial}
     record.update(makespans=[float(value) for _, value in results], time_s=elapsed)
@@ -228,16 +243,29 @@ def solve_dataset(instances: list[Instance], config: ExperimentConfig) -> Report
     for name in config.methods:
         if name not in HEURISTIC_METHODS:
             raise ValidationError(f"unknown method {name!r}")
+    if not isinstance(config.method_params, dict):
+        raise ValidationError(f"method_params must map method names to objects, not {config.method_params!r}")
+    for name, params in config.method_params.items():
+        if name not in HEURISTIC_METHODS:
+            raise ValidationError(f"method_params names unknown method {name!r}")
+        if not isinstance(params, dict):
+            raise ValidationError(f"method_params for {name!r} must be an object, not {params!r}")
+        readable = DEFAULT_METHOD_PARAMS[name].keys() | _OPTIONAL_METHOD_PARAMS[name]
+        unknown = sorted(params.keys() - readable)
+        if unknown:
+            raise ValidationError(f"method_params for {name!r}: unknown keys {unknown}; it reads {sorted(readable)}")
 
     def run(name: str, trial: int | None = None) -> dict:
         params = {**DEFAULT_METHOD_PARAMS[name], **config.method_params.get(name, {})}
-        return _method_makespans(instances, name, params, config.seed, trial, config.parallel)
+        return _method_makespans(instances, name, params, config.seed, trial, pool)
 
-    expert = run(config.expert)
-    rows = []
-    for name in config.methods:
-        per_seed = [expert] if name == config.expert else [run(name, trial) for trial in range(config.seeds)]
-        rows.append(_build_row(name, instances, per_seed, expert, {}))
+    # one worker pool for the whole report: starting one costs more than a small method's run
+    with concurrent.futures.ProcessPoolExecutor() if config.parallel else contextlib.nullcontext() as pool:
+        expert = run(config.expert)
+        rows = []
+        for name in config.methods:
+            per_seed = [expert] if name == config.expert else [run(name, trial) for trial in range(config.seeds)]
+            rows.append(_build_row(name, instances, per_seed, expert, {}))
 
     metadata = {
         "git_revision": _git_revision(),
@@ -342,13 +370,26 @@ def report_to_json(report: Report) -> str:
     return json.dumps(payload, indent=2)
 
 
-def report_from_json(text: str) -> Report:
+def report_from_json(text: str | bytes) -> Report:
+    """Inverse of :func:`report_to_json`; ``bytes`` must be UTF-8.
+
+    A payload that is not a JSON object, or whose ``rows`` is not a list of
+    objects with exactly the :class:`ReportRow` fields and an object as
+    ``extra``, is a ``DataError``.
+    """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"invalid report JSON: {exc}") from exc
-    rows = [ReportRow(**row) for row in payload.get("rows", [])]
-    return Report(rows=rows, metadata=payload.get("metadata", {}))
+    if not isinstance(payload, dict):
+        raise DataError("report must be a JSON object")
+    rows = payload.get("rows", [])
+    names = {f.name for f in fields(ReportRow)}
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict) and row.keys() == names and isinstance(row["extra"], dict) for row in rows
+    ):
+        raise DataError(f"report rows must be a list of objects with exactly the fields {sorted(names)}")
+    return Report(rows=[ReportRow(**row) for row in rows], metadata=payload.get("metadata", {}))
 
 
 def export_report(report: Report, fmt: str) -> str:

@@ -9,6 +9,7 @@ but obviously not reproducible across machines.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -32,6 +33,11 @@ _EPS = 1e-9
 _TIE_RTOL = 1e-9  # insertion makespans this close to the minimum tie
 
 
+def _is_number(value, kind: type) -> bool:
+    """``value`` is a ``kind`` (``numbers.Integral`` or ``numbers.Real``); JSON's true and false are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HeuristicBudget:
     """Iteration and/or wall-clock limits plus the RNG seed for a run."""
@@ -43,10 +49,11 @@ class HeuristicBudget:
     def __post_init__(self):
         if self.max_iterations is None and self.max_time is None:
             raise ValidationError("budget needs max_iterations or max_time")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValidationError("max_iterations must be >= 0")
-        if self.max_time is not None and self.max_time <= 0:
-            raise ValidationError("max_time must be positive")
+        iterations, seconds = self.max_iterations, self.max_time
+        if iterations is not None and not (_is_number(iterations, numbers.Integral) and iterations >= 0):
+            raise ValidationError(f"max_iterations must be an integer >= 0, not {iterations!r}")
+        if seconds is not None and not (_is_number(seconds, numbers.Real) and seconds > 0):
+            raise ValidationError(f"max_time must be a positive number, not {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -67,14 +74,16 @@ class IgParams:
     inner_iterations: int | None = None
 
     def __post_init__(self):
-        if self.d_jobs < 1:
-            raise ValidationError("d_jobs must be >= 1")
-        if self.acceptance_temperature is not None and self.acceptance_temperature < 0:
-            raise ValidationError("acceptance_temperature must be non-negative")
+        if not (_is_number(self.d_jobs, numbers.Integral) and self.d_jobs >= 1):
+            raise ValidationError(f"d_jobs must be an integer >= 1, not {self.d_jobs!r}")
+        temperature = self.acceptance_temperature
+        if temperature is not None and not (_is_number(temperature, numbers.Real) and temperature >= 0):
+            raise ValidationError(f"acceptance_temperature must be a non-negative number, not {temperature!r}")
         if self.init not in ("random", "neh"):
             raise ValidationError(f"unknown init {self.init!r}")
-        if self.inner_iterations is not None and self.inner_iterations < 1:
-            raise ValidationError("inner_iterations must be >= 1")
+        inner = self.inner_iterations
+        if inner is not None and not (_is_number(inner, numbers.Integral) and inner >= 1):
+            raise ValidationError(f"inner_iterations must be an integer >= 1, not {inner!r}")
 
 
 def insertion_makespans(times: np.ndarray, seq, job: int) -> np.ndarray:
@@ -230,8 +239,8 @@ def iterated_local_search(
     single local search of the random start. ``inner_iterations``
     truncates each descent (None = full descent to a local optimum).
     """
-    if perturbation_strength < 1:
-        raise ValidationError("perturbation_strength must be >= 1")
+    if not (_is_number(perturbation_strength, numbers.Integral) and perturbation_strength >= 1):
+        raise ValidationError(f"perturbation_strength must be an integer >= 1, not {perturbation_strength!r}")
     rng = np.random.Generator(np.random.PCG64(budget.rng_seed))
     deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
     inner = None if inner_iterations is None else HeuristicBudget(max_iterations=inner_iterations)

@@ -1,20 +1,27 @@
 """CLI surface: subcommands, config files, exit codes."""
 
+import argparse
 import json
+import shlex
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowshop.cli import main
+from flowshop.cli import build_parser, main
 from flowshop.env import record_expert_traces, save_traces
 from flowshop.harness import report_from_json
 from flowshop.instances import load_dataset
-from flowshop.policy import PolicyParams
-from flowshop.training import save_checkpoint
+from flowshop.policy import PolicyConfig, PolicyParams
+from flowshop.training import load_checkpoint, save_checkpoint
 
 from test_env import TRACE_HEADER_CORRUPTIONS
+from test_harness import METHOD_PARAMS_CORRUPTIONS, REPORT_CORRUPTIONS
 from test_instances import HEADER_CORRUPTIONS, rewrite_dataset_header
 from test_training import MANIFEST_CORRUPTIONS, TINY_POLICY, rewrite_checkpoint_manifest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -205,3 +212,162 @@ class TestExitCodes:
 
     def test_bad_flag_value(self):
         assert run(["generate", "--count", "NaNdogs"]) == 1
+
+
+# Config entries probed against each subcommand: (arguments, entries, the same
+# options as flag text). Flag text None marks a usage error (exit 1).
+CONFIG_PROBES = {
+    "string-seeds": (["solve", "--dataset", "{ds}", "--methods", "neh,rs"], {"seeds": "2"}, ["--seeds", "2"]),
+    "string-machines": (["generate", "--count", "2", "--jobs", "4"], {"machines": "2"}, ["--machines", "2"]),
+    "string-mu": (["generate", "--dist", "normal", "--count", "2", "--jobs", "4", "--machines", "2"],
+                  {"mu": "7"}, ["--mu", "7"]),
+    "object-method-params": (["solve", "--dataset", "{ds}", "--methods", "rs", "--seeds", "1"],
+                             {"method_params": {"rs": {"iterations": 5}}},
+                             ["--method-params", '{"rs": {"iterations": 5}}']),
+    "dashed-key": (["sweep-machines", "--method-a", "rs", "--method-b", "neh", "--count", "2", "--jobs", "4"],
+                   {"machines-list": "2,3"}, ["--machines-list", "2,3"]),
+    "switch-true": (["brute-force", "--dataset", "{ds}"], {"neh_gap": True}, ["--neh-gap"]),
+    "switch-false": (["brute-force", "--dataset", "{ds}"], {"neh_gap": False}, []),
+    "list-methods": (["solve", "--dataset", "{ds}"], {"methods": ["neh"]}, None),
+    "list-sigmas": (["sweep-sigma", "--method-a", "rs", "--method-b", "neh"], {"sigmas": [0, 2]}, None),
+    "fractional-count": (["generate", "--jobs", "4", "--machines", "2"], {"count": 2.5}, None),
+    "fractional-index": (["brute-force", "--dataset", "{ds}"], {"index": 2.5}, None),
+    "string-epochs": (["train", "--dataset", "{ds}"], {"epochs": "x"}, None),
+    "string-lr": (["train", "--dataset", "{ds}"], {"lr": "fast"}, None),
+    "string-switch": (["solve", "--dataset", "{ds}"], {"parallel": "no"}, None),
+    "numeric-expert": (["solve", "--dataset", "{ds}"], {"expert": 3}, None),
+}
+
+
+def _outcome(path):
+    """What a run wrote, less its wall times: dataset bytes, or each report row's per-seed makespans."""
+    if path.suffix == ".fsd":
+        return path.read_bytes()
+    payload = json.loads(path.read_text())
+    if "rows" not in payload:  # brute-force
+        return payload
+    return [(row["method"], [rec["makespans"] for rec in row["per_seed"]]) for row in payload["rows"]]
+
+
+def _write_config(tmp_path, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    return str(cfg)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("probe", CONFIG_PROBES.values(), ids=CONFIG_PROBES.keys())
+    def test_entry_parses_like_its_flag(self, dataset, tmp_path, probe, capsys):
+        argv, entries, flags = probe
+        argv = [arg.replace("{ds}", str(dataset)) for arg in argv]
+        suffix = ".fsd" if argv[0] == "generate" else ".json"
+        from_config = tmp_path / f"config{suffix}"
+        rc = run(argv + ["--config", _write_config(tmp_path, entries), "--out", str(from_config)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if flags is None:
+            assert rc == 1
+            assert "usage error" in err
+        else:
+            from_flags = tmp_path / f"flags{suffix}"
+            assert rc == 0
+            assert run(argv + flags + ["--out", str(from_flags)]) == 0
+            assert _outcome(from_config) == _outcome(from_flags)
+
+    def test_explicit_flag_wins(self, dataset, tmp_path):
+        out = tmp_path / "r.json"
+        cfg = _write_config(tmp_path, {"seeds": 2, "methods": "rs"})
+        assert run(["solve", "--dataset", str(dataset), "--config", cfg, "--seeds", "1", "--out", str(out)]) == 0
+        assert len(report_from_json(out.read_text()).rows[0].per_seed) == 1
+
+    def test_null_leaves_option_unset(self, dataset, tmp_path):
+        out = tmp_path / "r.json"
+        cfg = _write_config(tmp_path, {"seeds": None, "methods": "rs"})
+        assert run(["solve", "--dataset", str(dataset), "--config", cfg, "--out", str(out)]) == 0
+        assert len(report_from_json(out.read_text()).rows[0].per_seed) == 3  # ExperimentConfig's default
+
+    def test_keys_for_no_option_are_ignored(self, dataset, tmp_path):
+        report = tmp_path / "r.json"
+        assert run(["solve", "--dataset", str(dataset), "--methods", "neh", "--out", str(report)]) == 0
+        cfg = _write_config(tmp_path, {"seed": 1, "parallel": True, "no_such_option": 1})
+        assert run(["export", "--report", str(report), "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+
+    def test_train_unset_options_keep_library_defaults(self, dataset, tmp_path):
+        ckpt = tmp_path / "model.fsc"
+        assert run(["train", "--dataset", str(dataset), "--epochs", "1", "--out", str(ckpt)]) == 0
+        _, manifest = load_checkpoint(ckpt)
+        assert manifest["policy"] == asdict(PolicyConfig(machines=3))
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Each subcommand's flags besides --config and --help. --seed, --out and
+# --parallel appear only where the handler reads them.
+SUBCOMMAND_FLAGS = {
+    "generate": {"--out", "--seed", "--dist", "--count", "--jobs", "--machines", "--k", "--theta", "--mu", "--sigma"},
+    "solve": {"--out", "--seed", "--parallel", "--dataset", "--methods", "--seeds", "--expert", "--method-params"},
+    "train": {
+        "--out", "--seed", "--traces", "--dataset", "--val-dataset", "--epochs", "--batch-size", "--lr", "--lr-decay",
+        "--hidden-dim", "--layers", "--heads", "--neighbor-fraction", "--aggregation", "--normalization",
+        "--checkpoint-every", "--log",
+    },
+    "eval": {"--out", "--checkpoint", "--dataset"},
+    "sweep-sigma": {
+        "--out", "--seed", "--sigmas", "--method-a", "--method-b", "--count", "--jobs", "--machines", "--mu",
+    },
+    "sweep-machines": {"--out", "--seed", "--machines-list", "--method-a", "--method-b", "--count", "--jobs"},
+    "export": {"--out", "--report", "--format"},
+    "emit-mip": {"--out", "--dataset", "--index"},
+    "brute-force": {"--out", "--dataset", "--index", "--neh-gap"},
+}
+REMOVED_FLAGS = [(cmd, "--parallel") for cmd in SUBCOMMAND_FLAGS if cmd != "solve"] + [
+    (cmd, "--seed") for cmd in ("eval", "export", "emit-mip", "brute-force")
+]
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        commands = _subcommands()
+        assert set(commands) == set(SUBCOMMAND_FLAGS)
+        for name, parser in commands.items():
+            flags = {flag for action in parser._actions for flag in action.option_strings}
+            assert flags - {"-h", "--help", "--config"} == SUBCOMMAND_FLAGS[name], name
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+    def test_removed_flag_is_usage_error(self, command, flag, capsys):
+        assert run([command, flag] + (["1"] if flag == "--seed" else [])) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True) for line in text.splitlines() if line.startswith("flowshop ")]
+        assert len(commands) >= 10
+        for argv in commands:
+            assert build_parser().parse_args(argv[1:]).func is not None, argv
+
+
+class TestMalformedMethodParams:
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "method_params", METHOD_PARAMS_CORRUPTIONS.values(), ids=METHOD_PARAMS_CORRUPTIONS.keys()
+    )
+    def test_solve_exit_code_2(self, dataset, tmp_path, method_params, via, capsys):
+        argv = ["solve", "--dataset", str(dataset), "--methods", "ig,ils,rs", "--seeds", "1"]
+        if via == "flag":
+            argv += ["--method-params", json.dumps(method_params)]
+        else:
+            argv += ["--config", _write_config(tmp_path, {"method_params": method_params})]
+        assert run(argv) == 2
+        assert "data error" in capsys.readouterr().err
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("blob", REPORT_CORRUPTIONS.values(), ids=REPORT_CORRUPTIONS.keys())
+    def test_export_exit_code_2(self, tmp_path, blob, capsys):
+        report = tmp_path / "r.json"
+        report.write_bytes(blob)
+        assert run(["export", "--report", str(report)]) == 2
+        assert "data error" in capsys.readouterr().err

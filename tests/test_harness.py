@@ -1,7 +1,9 @@
 """Experiment harness: reports, gaps, sweeps, export formats."""
 
+import concurrent.futures
 import json
 import subprocess
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from flowshop.core import Instance, gap_percent
 from flowshop.errors import DataError, ValidationError
 from flowshop.harness import (
     DEFAULT_METHOD_PARAMS,
+    _OPTIONAL_METHOD_PARAMS,
     ExperimentConfig,
     Report,
     ReportRow,
@@ -37,6 +40,33 @@ TINY_POLICY = PolicyConfig(machines=3, hidden_dim=8, layers=1, heads=2)
 
 def small_dataset(count=10, jobs=8, machines=3, seed=7):
     return generate(DatasetSpec(count=count, jobs=jobs, machines=machines, seed=seed))
+
+
+# method_params that solve_dataset rejects with a ValidationError, for methods ig, ils and rs
+METHOD_PARAMS_CORRUPTIONS = {
+    "not-an-object": [1],
+    "method-value-not-an-object": {"rs": 5},
+    "unknown-method": {"nope": {}},
+    "key-no-adapter-reads": {"rs": {"iters": 5}},
+    "fractional-iterations": {"rs": {"iterations": 2.5}},
+    "string-iterations": {"rs": {"iterations": "x"}},
+    "string-max-time": {"rs": {"iterations": None, "max_time": "x"}},
+    "string-d-jobs": {"ig": {"d_jobs": "x"}},
+    "string-temperature": {"ig": {"acceptance_temperature": "x"}},
+    "fractional-perturbation": {"ils": {"perturbation_strength": 1.5}},
+}
+
+_ROW = asdict(ReportRow("neh", 2, 2, 1.0, 0.0, 0.0, [1.0], [0.0], []))
+# report files that report_from_json rejects with a DataError
+REPORT_CORRUPTIONS = {
+    "not-utf8": b'{"rows": [], "metadata": {"note": "\xff"}}',
+    "not-an-object": b"[1]",
+    "rows-not-a-list": b'{"rows": 5}',
+    "row-not-an-object": b'{"rows": [1]}',
+    "row-missing-field": json.dumps({"rows": [{k: v for k, v in _ROW.items() if k != "n"}]}).encode(),
+    "row-extra-field": json.dumps({"rows": [{**_ROW, "bogus": 1}]}).encode(),
+    "extra-not-an-object": json.dumps({"rows": [{**_ROW, "extra": [1]}]}).encode(),
+}
 
 
 class TestExperimentConfig:
@@ -138,6 +168,27 @@ class TestSolveDataset:
         assert serial.rows[0].per_instance_makespan == parallel.rows[0].per_instance_makespan
         assert parallel.metadata["timing_comparable"] is False
 
+    def test_parallel_opens_one_pool_per_report(self, monkeypatch):
+        opened = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(max_workers=2)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        config = ExperimentConfig(methods=("neh", "rs", "ils"), seeds=2, parallel=True)
+        solve_dataset(small_dataset(count=3), config)
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize(
+        "method_params", METHOD_PARAMS_CORRUPTIONS.values(), ids=METHOD_PARAMS_CORRUPTIONS.keys()
+    )
+    def test_malformed_method_params_rejected(self, method_params):
+        config = ExperimentConfig(methods=("ig", "ils", "rs"), seeds=1, method_params=method_params)
+        with pytest.raises(ValidationError):
+            solve_dataset(small_dataset(count=2), config)
+
 
 class TestEvaluatePolicyRows:
     def test_machine_mismatch_rejected_for_one_job(self, tmp_path):
@@ -173,6 +224,13 @@ class TestDefaultMethodParams:
         optional = {"max_time", "acceptance_temperature"}
         assert params.read - optional <= set(DEFAULT_METHOD_PARAMS[method])
         assert params.read >= set(DEFAULT_METHOD_PARAMS[method])
+
+    @pytest.mark.parametrize("method", ["rs", "ils", "ig", "neh"])
+    def test_readable_keys_are_the_keys_read(self, method):
+        # solve_dataset accepts exactly these keys in a method's params
+        params = _ReadLog(DEFAULT_METHOD_PARAMS[method])
+        _SOLVERS[method](small_dataset(count=1)[0], 0, params)
+        assert params.read == set(DEFAULT_METHOD_PARAMS[method]) | _OPTIONAL_METHOD_PARAMS[method]
 
 
 class TestGitRevision:
@@ -239,6 +297,11 @@ class TestExport:
     def test_bad_json(self):
         with pytest.raises(DataError):
             report_from_json("{not json")
+
+    @pytest.mark.parametrize("blob", REPORT_CORRUPTIONS.values(), ids=REPORT_CORRUPTIONS.keys())
+    def test_malformed_report_is_data_error(self, blob):
+        with pytest.raises(DataError, match="report"):
+            report_from_json(blob)
 
 
 def _masked(report, checkpoint):

@@ -72,6 +72,16 @@ class TestBudget:
         with pytest.raises(ValidationError):
             HeuristicBudget(max_time=0.0)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "x", True])
+    def test_non_integer_iterations_rejected(self, value):
+        with pytest.raises(ValidationError, match="max_iterations must be an integer"):
+            HeuristicBudget(max_iterations=value)
+
+    @pytest.mark.parametrize("value", ["x", True, float("nan")])
+    def test_non_numeric_time_rejected(self, value):
+        with pytest.raises(ValidationError, match="max_time must be a positive number"):
+            HeuristicBudget(max_time=value)
+
 
 class TestInsertionMakespans:
     def test_matches_naive_scan(self, rng):
