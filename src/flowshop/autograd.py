@@ -1,9 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A :class:`Tensor` wraps a float64 ndarray; operations build a backward
-graph only when some input has ``requires_grad``, so inference on frozen
-parameters runs with no tape at all. Gradients are accumulated by
-walking the graph in reverse topological order from a scalar loss.
+A :class:`Tensor` wraps a float32 or float64 ndarray: float32 data stays
+float32 and anything else becomes float64. Python constants mixed into an
+op take the dtype of the tensor operand, so a float32 graph computes in
+float32 throughout and its gradients are float32; float32 sums over
+several axes run one axis at a time to bound their rounding. Operations
+build a backward graph only when some input has ``requires_grad``, so
+inference on frozen parameters runs with no tape at all. Gradients are
+accumulated by walking the graph in reverse topological order from a
+scalar loss; a gradient an op has just allocated for one input becomes
+that input's ``grad`` without a copy.
 
 The op set is deliberately small: elementwise arithmetic, matmul with
 numpy broadcasting, a few nonlinearities, reductions, stable (log-)softmax
@@ -19,6 +25,8 @@ backward; a second call on a released graph raises ``ValueError``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,14 +49,30 @@ class no_grad:
         return False
 
 
+def _sum(x: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
+    """``x.sum(axis)``, with a float32 sum over several axes taken one axis at a time.
+
+    numpy adds the rows of a multi-axis reduction one after another, so a
+    float32 sum over the B*n*k rows of an edge tensor would carry a rounding
+    error of up to B*n*k times eps. Axis by axis, each run of additions is
+    one axis long. Float64 keeps numpy's order.
+    """
+    if x.dtype != np.float32 or not isinstance(axis, tuple):
+        return x.sum(axis=axis, keepdims=keepdims)
+    axes = sorted((ax % x.ndim for ax in axis), reverse=True)
+    for ax in axes:
+        x = x.sum(axis=ax, keepdims=True)
+    return x if keepdims else x.squeeze(tuple(axes))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum(grad, tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = _sum(grad, axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -64,8 +88,12 @@ def _released(grad: np.ndarray) -> None:
     raise ValueError("graph already released: backward() runs once per graph")
 
 
-def _as_tensor(value) -> "Tensor":
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
+def _as_tensor(value, like=None) -> "Tensor":
+    """``value`` as a Tensor; a constant takes the dtype of the tensor ``like``."""
+    if isinstance(value, Tensor):
+        return value
+    dtype = like.data.dtype if isinstance(like, Tensor) else np.float64
+    return Tensor(np.asarray(value, dtype=dtype))
 
 
 class Tensor:
@@ -74,7 +102,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -98,10 +127,15 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this node's gradient.
+
+        ``owned`` says the op allocated ``grad`` for this input alone, so a
+        first write keeps it as is; any other first write is copied, because
+        ``grad`` may be a view that another input also receives.
+        """
         if self.grad is None:
-            # a copy, because ``grad`` may be a view shared with another input
-            self.grad = np.array(grad, dtype=np.float64, order="C")
+            self.grad = grad if owned else np.array(grad, order="C")
         else:
             self.grad += grad
 
@@ -140,7 +174,7 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         a, b = self, other
 
         def backward(g):
@@ -157,44 +191,44 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(-g)
+            a._accumulate(-g, owned=True)
 
         return Tensor._make(-a.data, (a,), backward)
 
     def __sub__(self, other):
-        return self + (-_as_tensor(other))
+        return self + (-_as_tensor(other, self))
 
     def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
+        return _as_tensor(other, self) + (-self)
 
     def __mul__(self, other):
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         a, b = self, other
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+                a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+                b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
         return Tensor._make(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         a, b = self, other
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+                a._accumulate(_unbroadcast(g / b.data, a.data.shape), owned=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
 
         return Tensor._make(a.data / b.data, (a, b), backward)
 
     def __matmul__(self, other):
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         a, b = self, other
         if a.data.ndim < 2 or b.data.ndim < 2:
             raise ValueError("matmul operands must be at least 2-D")
@@ -204,10 +238,10 @@ class Tensor:
         def backward(g):
             if a.requires_grad:
                 ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(_unbroadcast(ga, a.data.shape))
+                a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
             if b.requires_grad:
                 gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(_unbroadcast(gb, b.data.shape))
+                b._accumulate(_unbroadcast(gb, b.data.shape), owned=True)
 
         return Tensor._make(a.data @ b.data, (a, b), backward)
 
@@ -223,9 +257,9 @@ class Tensor:
         def backward(g):
             g2 = g.reshape(-1, r)
             if a.requires_grad:
-                a._accumulate((g2 @ w.data.T).reshape(a.data.shape))
+                a._accumulate((g2 @ w.data.T).reshape(a.data.shape), owned=True)
             if w.requires_grad:
-                w._accumulate(a.data.reshape(-1, q).T @ g2)
+                w._accumulate(a.data.reshape(-1, q).T @ g2, owned=True)
 
         out = a.data.reshape(-1, q) @ w.data
         return Tensor._make(out.reshape(*a.data.shape[:-1], r), (a, w), backward)
@@ -234,7 +268,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(g * exponent * np.power(a.data, exponent - 1.0))
+            a._accumulate(g * exponent * np.power(a.data, exponent - 1.0), owned=True)
 
         return Tensor._make(np.power(a.data, exponent), (a,), backward)
 
@@ -243,7 +277,7 @@ class Tensor:
         out_data = np.sqrt(a.data)
 
         def backward(g):
-            a._accumulate(g * 0.5 / np.sqrt(a.data))
+            a._accumulate(g * 0.5 / np.sqrt(a.data), owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -254,7 +288,7 @@ class Tensor:
         keep = a.data > 0
 
         def backward(g):
-            a._accumulate(g * keep)
+            a._accumulate(g * keep, owned=True)
 
         return Tensor._make(np.where(keep, a.data, 0.0), (a,), backward)
 
@@ -263,7 +297,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-a.data))
 
         def backward(g):
-            a._accumulate(g * out_data * (1.0 - out_data))
+            a._accumulate(g * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -272,7 +306,7 @@ class Tensor:
         out_data = np.tanh(a.data)
 
         def backward(g):
-            a._accumulate(g * (1.0 - out_data * out_data))
+            a._accumulate(g * (1.0 - out_data * out_data), owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -281,7 +315,7 @@ class Tensor:
         out_data = np.exp(a.data)
 
         def backward(g):
-            a._accumulate(g * out_data)
+            a._accumulate(g * out_data, owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -289,7 +323,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(g / a.data)
+            a._accumulate(g / a.data, owned=True)
 
         return Tensor._make(np.log(a.data), (a,), backward)
 
@@ -307,14 +341,14 @@ class Tensor:
                 gg = np.expand_dims(gg, axis)
             a._accumulate(np.broadcast_to(gg, a.data.shape))
 
-        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+        return Tensor._make(_sum(a.data, axis, keepdims), (a,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
             scale = 1.0 / self.data.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            scale = 1.0 / np.prod([self.data.shape[ax] for ax in axes])
+            scale = 1.0 / math.prod(self.data.shape[ax] for ax in axes)
         return self.sum(axis=axis, keepdims=keepdims) * scale
 
     def max(self, axis: int, keepdims: bool = False):
@@ -329,7 +363,7 @@ class Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             ga = np.zeros_like(a.data)
             _scatter_add(ga, np.expand_dims(am, axis), gg, axis)
-            a._accumulate(ga)
+            a._accumulate(ga, owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -345,7 +379,7 @@ class Tensor:
 
         def backward(g):
             inner = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - inner))
+            a._accumulate(out_data * (g - inner), owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -360,7 +394,7 @@ class Tensor:
         p = e / denom
 
         def backward(g):
-            a._accumulate(g - p * g.sum(axis=axis, keepdims=True))
+            a._accumulate(g - p * g.sum(axis=axis, keepdims=True), owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -395,7 +429,7 @@ class Tensor:
         def backward(g):
             ga = np.zeros_like(a.data)
             _scatter_add(ga, idx, g, axis)
-            a._accumulate(ga)
+            a._accumulate(ga, owned=True)
 
         return Tensor._make(np.take_along_axis(a.data, idx, axis=axis), (a,), backward)
 
@@ -427,14 +461,14 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 def where(cond: np.ndarray, a, b) -> Tensor:
     """Select from two tensors with a constant boolean mask."""
     cond = np.asarray(cond, dtype=bool)
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+    a = _as_tensor(a, b)
+    b = _as_tensor(b, a)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(np.where(cond, g, 0.0), a.data.shape))
+            a._accumulate(_unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.where(cond, 0.0, g), b.data.shape))
+            b._accumulate(_unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
 
     return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward)
 
@@ -453,8 +487,8 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     batch_grid = np.arange(batch)[:, None]
 
     def backward(g):
-        onehot = np.zeros((batch, rows, idx.shape[1]))
+        onehot = np.zeros((batch, rows, idx.shape[1]), dtype=g.dtype)
         onehot[batch_grid, idx, np.arange(idx.shape[1])] = 1.0
-        t._accumulate(onehot @ g)
+        t._accumulate(onehot @ g, owned=True)
 
     return Tensor._make(t.data[batch_grid, idx], (t,), backward)

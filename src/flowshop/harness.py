@@ -17,6 +17,7 @@ import functools
 import hashlib
 import io
 import json
+import numbers
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -26,7 +27,15 @@ import numpy as np
 
 from .core import Instance, gap_percent, makespan
 from .errors import DataError, ValidationError
-from .heuristics import HeuristicBudget, IgParams, iterated_greedy, iterated_local_search, neh, random_search
+from .heuristics import (
+    HeuristicBudget,
+    IgParams,
+    _is_number,
+    iterated_greedy,
+    iterated_local_search,
+    neh,
+    random_search,
+)
 from .instances import DatasetSpec, generate
 from .policy import rollout_greedy
 from .stats import wilcoxon_signed_rank
@@ -351,10 +360,17 @@ def sweep_machines(
     jobs: int = 20,
     seed: int = 0,
 ) -> Report:
-    """Machine-count sweep over Gamma datasets (policies need matching m)."""
-    specs = [DatasetSpec(count=count, jobs=jobs, machines=int(m), dist="gamma", seed=seed) for m in machine_counts]
+    """Machine-count sweep over Gamma datasets (policies need matching m).
+
+    A count must be a whole number (``3`` or ``3.0``); ``3.7`` is a
+    ``ValidationError``, not a sweep over 3 machines.
+    """
+    if not all(_is_number(m, numbers.Real) and float(m).is_integer() for m in machine_counts):
+        raise ValidationError(f"machine counts must be whole numbers, got {list(machine_counts)}")
+    counts = [int(m) for m in machine_counts]
+    specs = [DatasetSpec(count=count, jobs=jobs, machines=m, dist="gamma", seed=seed) for m in counts]
     rows = _sweep("machines", specs, method_a, method_b, seed)
-    return Report(rows=rows, metadata={"sweep": "machines", "machine_counts": [int(m) for m in machine_counts]})
+    return Report(rows=rows, metadata={"sweep": "machines", "machine_counts": counts})
 
 
 # --- serialization -----------------------------------------------------------
@@ -370,12 +386,31 @@ def report_to_json(report: Report) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _real_list(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v, numbers.Real) for v in value)
+
+
+# the JSON type each ReportRow field must have; true and false are not numbers
+_ROW_FIELD_TYPES = {
+    "method": lambda v: isinstance(v, str),
+    "n": lambda v: _is_number(v, numbers.Integral),
+    "m": lambda v: _is_number(v, numbers.Integral),
+    "mean_makespan": lambda v: _is_number(v, numbers.Real),
+    "mean_gap_pct": lambda v: _is_number(v, numbers.Real),
+    "time_s": lambda v: _is_number(v, numbers.Real),
+    "per_instance_makespan": _real_list,
+    "per_instance_gap_pct": _real_list,
+    "per_seed": lambda v: isinstance(v, list) and all(isinstance(rec, dict) for rec in v),
+    "extra": lambda v: isinstance(v, dict),
+}
+
+
 def report_from_json(text: str | bytes) -> Report:
     """Inverse of :func:`report_to_json`; ``bytes`` must be UTF-8.
 
     A payload that is not a JSON object, or whose ``rows`` is not a list of
-    objects with exactly the :class:`ReportRow` fields and an object as
-    ``extra``, is a ``DataError``.
+    objects with exactly the :class:`ReportRow` fields, each of its JSON
+    type (``_ROW_FIELD_TYPES``), is a ``DataError``.
     """
     try:
         payload = json.loads(text)
@@ -385,10 +420,12 @@ def report_from_json(text: str | bytes) -> Report:
         raise DataError("report must be a JSON object")
     rows = payload.get("rows", [])
     names = {f.name for f in fields(ReportRow)}
-    if not isinstance(rows, list) or not all(
-        isinstance(row, dict) and row.keys() == names and isinstance(row["extra"], dict) for row in rows
-    ):
+    if not isinstance(rows, list) or not all(isinstance(row, dict) and row.keys() == names for row in rows):
         raise DataError(f"report rows must be a list of objects with exactly the fields {sorted(names)}")
+    for row in rows:
+        wrong = [name for name, is_valid in _ROW_FIELD_TYPES.items() if not is_valid(row[name])]
+        if wrong:
+            raise DataError(f"report row fields {wrong} have the wrong JSON type")
     return Report(rows=[ReportRow(**row) for row in rows], metadata=payload.get("metadata", {}))
 
 

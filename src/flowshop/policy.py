@@ -91,7 +91,9 @@ class PolicyParams:
 
     Weight matrices are stored in their mathematical orientation
     (output rows, input columns) and applied as x @ W.T. Everything is
-    initialized uniform in [-1/sqrt(d), 1/sqrt(d)].
+    initialized uniform in [-1/sqrt(d), 1/sqrt(d)], in float64; the
+    forward and backward passes compute in the tensors' dtype, which
+    ``training.train`` rounds to float32.
     """
 
     def __init__(self, config: PolicyConfig, tensors: dict[str, Tensor], buffers: dict[str, np.ndarray]):
@@ -143,8 +145,8 @@ class PolicyParams:
             t.grad = None
 
     def grads(self) -> dict[str, np.ndarray]:
-        # tensors outside the loss path (e.g. the last layer's edge update,
-        # whose output feeds nothing) carry an exact zero gradient
+        # tensors outside the loss path (the last layer's edge update, which
+        # _encode_core skips) carry an exact zero gradient
         return {
             k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
             for k, t in self.tensors.items()
@@ -192,12 +194,16 @@ def build_graph(inst: Instance, rho: float = 0.2, scale: bool = False) -> JobGra
 
 @dataclass
 class Activations:
-    """Forward-pass record: per-layer embeddings plus decoder scratch."""
+    """Forward-pass record: per-layer embeddings plus decoder scratch.
+
+    ``edge_layers`` stops at e^(L-1): the last layer's edge update would
+    feed nothing, so the encoder skips it.
+    """
 
     graph: JobGraph
     mode: str
     node_layers: list[np.ndarray]  # h^0 .. h^L, each (n, d)
-    edge_layers: list[np.ndarray]  # e^0 .. e^L, each (n, k, d)
+    edge_layers: list[np.ndarray]  # e^0 .. e^(L-1), each (n, k, d)
     graph_embedding: np.ndarray  # (d,)
     placeholder_v1: np.ndarray | None = None  # first-decode placeholders
     placeholder_v2: np.ndarray | None = None
@@ -232,8 +238,8 @@ def _normalize(params: PolicyParams, x: Tensor, layer: int, stream: str, mode: s
         running_var *= 1.0 - _BN_MOMENTUM
         running_var += _BN_MOMENTUM * var.data.reshape(-1)
     else:
-        mu = Tensor(params.buffers[f"enc{layer}_{stream}_mean"])
-        var = Tensor(params.buffers[f"enc{layer}_{stream}_var"])
+        mu = Tensor(params.buffers[f"enc{layer}_{stream}_mean"].astype(x.data.dtype, copy=False))
+        var = Tensor(params.buffers[f"enc{layer}_{stream}_var"].astype(x.data.dtype, copy=False))
     xhat = (x - mu) / (var + _BN_EPS).sqrt()
     return xhat * gamma + beta
 
@@ -256,18 +262,23 @@ def _encode_core(
     """Run the gated graph stack on a batch; returns per-layer tensors.
 
     x: (B, n, m) features, nbr: (B, n, k) neighbor indices, dist: (B, n, k).
+    The stack computes in the parameters' dtype. The last layer's edge
+    update is skipped, since no later layer reads it: its weights get exact
+    zero gradients and its edge batch-norm statistics stay at their
+    initial values.
     """
     cfg = params.config
+    t = params.tensors
+    dtype = t["w_h"].data.dtype
     batch, n, _ = x.shape
     k = nbr.shape[2]
     nbr_flat = nbr.reshape(batch, n * k)
 
-    h = Tensor(x) @ params.tensors["w_h"].transpose(1, 0)
-    e = Tensor(dist[..., None]) * params.tensors["w_e"]
+    h = Tensor(x.astype(dtype, copy=False)) @ t["w_h"].transpose(1, 0)
+    e = Tensor(dist[..., None].astype(dtype, copy=False)) * t["w_e"]
     node_layers = [h]
     edge_layers = [e]
     for layer in range(cfg.layers):
-        t = params.tensors
         bh = h @ t[f"enc{layer}_B"].transpose(1, 0)
         ch = h @ t[f"enc{layer}_C"].transpose(1, 0)
         ch_nbr = ag.gather_rows(ch, nbr_flat).reshape(batch, n, k, -1)
@@ -275,16 +286,17 @@ def _encode_core(
         node_pre = bh + _aggregate(msg, cfg.aggregation)
         h = h + _normalize(params, node_pre, layer, "node", mode).relu()
 
-        de = e @ t[f"enc{layer}_D"].transpose(1, 0)
-        eh = (node_layers[layer] @ t[f"enc{layer}_E"].transpose(1, 0)).reshape(batch, n, 1, -1)
-        fh = ag.gather_rows(node_layers[layer] @ t[f"enc{layer}_F"].transpose(1, 0), nbr_flat)
-        edge_pre = de + eh + fh.reshape(batch, n, k, -1)
-        e = e + _normalize(params, edge_pre, layer, "edge", mode).relu()
+        if layer + 1 < cfg.layers:
+            de = e @ t[f"enc{layer}_D"].transpose(1, 0)
+            eh = (node_layers[layer] @ t[f"enc{layer}_E"].transpose(1, 0)).reshape(batch, n, 1, -1)
+            fh = ag.gather_rows(node_layers[layer] @ t[f"enc{layer}_F"].transpose(1, 0), nbr_flat)
+            edge_pre = de + eh + fh.reshape(batch, n, k, -1)
+            e = e + _normalize(params, edge_pre, layer, "edge", mode).relu()
+            edge_layers.append(e)
 
         if not np.isfinite(h.data).all() or not np.isfinite(e.data).all():
             raise NumericError(f"non-finite activations at encoder layer {layer}")
         node_layers.append(h)
-        edge_layers.append(e)
     h_graph = h.mean(axis=1)
     return node_layers, edge_layers, h, h_graph
 
@@ -318,7 +330,7 @@ def _refine_and_logits(
     kf = h_nodes @ t["out_wk"].transpose(1, 0)
     scores = (qf @ kf.transpose(0, 2, 1)) * (1.0 / math.sqrt(d))
     clipped = scores.tanh() * cfg.logit_clip
-    logits = ag.where(avail, clipped, Tensor(-np.inf))
+    logits = ag.where(avail, clipped, -np.inf)
     return refined, logits
 
 

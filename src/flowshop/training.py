@@ -2,9 +2,12 @@
 
 Training is plain supervised learning on expert traces: shuffled
 instance batches, one Adam step per batch, learning rate decayed by a
-constant factor each epoch. After every epoch the greedy policy is
-rolled out on a validation set and its mean makespan gap against the
-expert is logged (newline-delimited JSON records).
+constant factor each epoch. The trained parameters, their gradients and
+Adam's moments are float32, so the step moves half the bytes of the
+float64 reference path that gradient checks and checkpoint inference use.
+After every epoch the greedy policy is rolled out on a validation set and
+its mean makespan gap against the expert is logged (newline-delimited
+JSON records).
 
 Checkpoints are a single file: one JSON manifest line (format version,
 architecture, epoch, metrics, per-tensor offsets) followed by packed
@@ -127,6 +130,8 @@ def train(
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = PolicyParams.init(config.policy, seed=config.seed)
+    for tensor in params.tensors.values():  # train in float32: the same draws, rounded
+        tensor.data = tensor.data.astype(np.float32)
     optimizer = Adam(params.tensors)
 
     # graphs never change, so batch assembly is done once per trace

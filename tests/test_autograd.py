@@ -1,4 +1,4 @@
-"""Gradient-core checks: every op against central finite differences."""
+"""Gradient-core checks: every op against central finite differences, plus dtype and gradient ownership."""
 
 import numpy as np
 import pytest
@@ -224,3 +224,100 @@ class TestGraphMechanics:
         y = (a * b).sum()  # y = 15 t^2, dy/dt = 30 t = 60
         y.backward()
         assert t.grad[0] == pytest.approx(60.0)
+
+
+# Each op fed float32 inputs: (build over the input tensors, input shapes).
+# Inputs are drawn in [0.5, 2] so log, sqrt and pow stay defined.
+FLOAT32_OPS = {
+    "add-scalar": (lambda ts: ts[0] + 1.5, [(3, 4)]),
+    "add-broadcast": (lambda ts: ts[0] + ts[1], [(3, 4), (4,)]),
+    "radd": (lambda ts: 1.5 + ts[0], [(3,)]),
+    "sub": (lambda ts: ts[0] - ts[1], [(3, 4), (3, 4)]),
+    "rsub": (lambda ts: 2.0 - ts[0], [(3,)]),
+    "neg": (lambda ts: -ts[0], [(3,)]),
+    "mul-scalar": (lambda ts: ts[0] * 0.1, [(3, 4)]),
+    "mul-broadcast": (lambda ts: ts[0] * ts[1], [(2, 3, 4), (4,)]),
+    "div": (lambda ts: ts[0] / ts[1], [(3, 4), (3, 4)]),
+    "matmul": (lambda ts: ts[0] @ ts[1], [(2, 3, 4), (2, 4, 2)]),
+    "matmul-2d-weight": (lambda ts: ts[0] @ ts[1].transpose(1, 0), [(2, 3, 4), (5, 4)]),
+    "pow": (lambda ts: ts[0].pow(1.5), [(4,)]),
+    "sqrt": (lambda ts: ts[0].sqrt(), [(4,)]),
+    "relu": (lambda ts: (ts[0] - 1.0).relu(), [(5,)]),
+    "sigmoid": (lambda ts: ts[0].sigmoid(), [(5,)]),
+    "tanh": (lambda ts: ts[0].tanh(), [(5,)]),
+    "exp": (lambda ts: ts[0].exp(), [(5,)]),
+    "log": (lambda ts: ts[0].log(), [(5,)]),
+    "sum": (lambda ts: ts[0].sum(axis=(0, 1), keepdims=True), [(2, 3, 4)]),
+    "mean": (lambda ts: ts[0].mean(axis=(0, 1)), [(2, 3, 4)]),
+    "max": (lambda ts: ts[0].max(axis=1), [(3, 4)]),
+    "softmax": (lambda ts: ts[0].softmax(axis=-1) * ts[1], [(3, 5), (3, 5)]),
+    "log-softmax": (lambda ts: ts[0].log_softmax(axis=-1) * ts[1], [(3, 5), (3, 5)]),
+    "reshape": (lambda ts: ts[0].reshape(6, 2), [(2, 3, 2)]),
+    "transpose": (lambda ts: ts[0].transpose(1, 0), [(3, 4)]),
+    "gather": (lambda ts: ts[0].gather(np.array([[0, 0, 2], [1, 1, 1]]), axis=1), [(2, 3)]),
+    "broadcast-to": (lambda ts: ts[0].broadcast_to((4, 3)), [(1, 3)]),
+    "concat": (lambda ts: ag.concat([ts[0], ts[1]], axis=1), [(2, 3), (2, 2)]),
+    "where-constant": (lambda ts: ag.where(np.array([True, False, True]), ts[0], -np.inf), [(3,)]),
+    "where": (lambda ts: ag.where(np.array([True, False]), ts[0], ts[1]), [(2,), (2,)]),
+    "gather-rows": (lambda ts: ag.gather_rows(ts[0], np.array([[0, 0, 3], [2, 2, 1]])), [(2, 4, 3)]),
+}
+
+
+class TestFloat32:
+    """A float32 graph stays float32: constants take the tensor operand's dtype."""
+
+    @pytest.mark.parametrize("build, shapes", FLOAT32_OPS.values(), ids=FLOAT32_OPS.keys())
+    def test_op_keeps_float32(self, build, shapes):
+        rng = np.random.Generator(np.random.PCG64(0))
+        tensors = [Tensor(rng.uniform(0.5, 2.0, size=s).astype(np.float32), requires_grad=True) for s in shapes]
+        out = build(tensors)
+        assert out.data.dtype == np.float32
+        ag.where(np.isfinite(out.data), out, 0.0).sum().backward()  # drop the -inf fill
+        for t in tensors:
+            assert t.grad.dtype == np.float32
+
+    def test_other_data_becomes_float64(self):
+        for data in (np.arange(3), np.ones(2, dtype=np.float16), [1, 2], 3.0, np.ones(2, dtype=bool)):
+            assert Tensor(data).data.dtype == np.float64
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+
+
+# f(u, v, y) where u and v are two uses of one input x and y is a second input
+SHARED_INPUT_CASES = {
+    "x + x": lambda u, v, y: (u + v) + y,  # the outer add hands one gradient to two inputs
+    "a * a": lambda u, v, y: u * v + y,
+    "concat([t, t])": lambda u, v, y: ag.concat([u, v, y], axis=0),
+    "broadcast sum": lambda u, v, y: u.sum(axis=0) * v + y,
+    "reshape": lambda u, v, y: u.reshape(4, 3) + (v + y).reshape(4, 3),
+    "transpose": lambda u, v, y: u.transpose(1, 0) @ (v * y),
+}
+
+
+class TestGradientOwnership:
+    """A first-write gradient is kept without a copy only when no other input can see it."""
+
+    @staticmethod
+    def _loss(out: Tensor) -> Tensor:
+        rng = np.random.Generator(np.random.PCG64(1))
+        weights = rng.normal(size=out.data.shape).astype(out.data.dtype)
+        return (out * weights).sum()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("f", SHARED_INPUT_CASES.values(), ids=SHARED_INPUT_CASES.keys())
+    def test_shared_input_matches_fresh_copies(self, f, dtype):
+        rng = np.random.Generator(np.random.PCG64(0))
+        x_data, y_data = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        # reference: float64, each use of x a fresh leaf, its gradient the sum over the uses
+        x1, x2, y_ref = (Tensor(v.copy(), requires_grad=True) for v in (x_data, x_data, y_data))
+        self._loss(f(x1, x2, y_ref)).backward()
+
+        x = Tensor(x_data.astype(dtype), requires_grad=True)
+        y = Tensor(y_data.astype(dtype), requires_grad=True)
+        self._loss(f(x, x, y)).backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        if dtype == np.float64:
+            np.testing.assert_array_equal(x.grad, x1.grad + x2.grad)
+            np.testing.assert_array_equal(y.grad, y_ref.grad)
+        else:
+            np.testing.assert_allclose(x.grad, x1.grad + x2.grad, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(y.grad, y_ref.grad, rtol=1e-5, atol=1e-6)

@@ -364,6 +364,16 @@ class TestMalformedMethodParams:
         assert "data error" in capsys.readouterr().err
 
 
+class TestSweepMachinesFlag:
+    def test_fractional_count_exit_code_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        argv = ["sweep-machines", "--machines-list", "2,3.7", "--method-a", "rs", "--method-b", "neh",
+                "--count", "2", "--jobs", "5", "--out", str(out)]
+        assert run(argv) == 2
+        assert "machine counts" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMalformedReport:
     @pytest.mark.parametrize("blob", REPORT_CORRUPTIONS.values(), ids=REPORT_CORRUPTIONS.keys())
     def test_export_exit_code_2(self, tmp_path, blob, capsys):

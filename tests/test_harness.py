@@ -66,6 +66,13 @@ REPORT_CORRUPTIONS = {
     "row-missing-field": json.dumps({"rows": [{k: v for k, v in _ROW.items() if k != "n"}]}).encode(),
     "row-extra-field": json.dumps({"rows": [{**_ROW, "bogus": 1}]}).encode(),
     "extra-not-an-object": json.dumps({"rows": [{**_ROW, "extra": [1]}]}).encode(),
+    "string-makespan": json.dumps({"rows": [{**_ROW, "mean_makespan": "x"}]}).encode(),
+    "per-seed-not-a-list": json.dumps({"rows": [{**_ROW, "per_seed": 5}]}).encode(),
+    "per-seed-record-not-an-object": json.dumps({"rows": [{**_ROW, "per_seed": [1]}]}).encode(),
+    "fractional-job-count": json.dumps({"rows": [{**_ROW, "n": 2.5}]}).encode(),
+    "boolean-time": json.dumps({"rows": [{**_ROW, "time_s": True}]}).encode(),
+    "method-not-a-string": json.dumps({"rows": [{**_ROW, "method": 5}]}).encode(),
+    "string-gap-entry": json.dumps({"rows": [{**_ROW, "per_instance_gap_pct": ["x"]}]}).encode(),
 }
 
 
@@ -266,6 +273,18 @@ class TestSweepSigma:
     def test_expert_vs_expert_all_zero(self):
         report = sweep_sigma([0.0, 3.0], "neh", "neh", count=3, jobs=6, machines=3)
         assert all(row.mean_gap_pct == 0.0 for row in report.rows)
+
+
+class TestSweepMachines:
+    def test_whole_float_count_runs_as_int(self):
+        report = sweep_machines([2.0], "rs", "neh", count=2, jobs=5, seed=1)
+        assert report.metadata["machine_counts"] == [2]
+        assert all(row.m == 2 for row in report.rows)
+
+    @pytest.mark.parametrize("counts", [[2, 3.7], [2.5], [True], ["3"], [float("nan")]])
+    def test_non_integer_count_rejected(self, counts):
+        with pytest.raises(ValidationError, match="machine counts"):
+            sweep_machines(counts, "rs", "neh", count=2, jobs=5, seed=1)
 
 
 class TestExport:
