@@ -1,6 +1,7 @@
 """Makespan semantics: recurrence, batched evaluation, gaps, and their invariants."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowshop.core import (
+    _BLOCK_ROWS,
     Instance,
     completion_times,
     gap_percent,
@@ -16,6 +18,7 @@ from flowshop.core import (
     validate_permutation,
 )
 from flowshop.errors import ValidationError
+from flowshop.exact import _lex_permutations
 
 from conftest import FROZEN_3X4, REL_TOL, oracle_completion, oracle_makespan, random_instance
 
@@ -50,6 +53,28 @@ class TestValidatePermutation:
     def test_invalid(self, perm):
         with pytest.raises(ValidationError):
             validate_permutation(perm, 3)
+
+    @pytest.mark.parametrize(
+        "perm, message",
+        [
+            ([0, 5, 1, 1], "job index 5 out of range [0, 4)"),
+            ([0, 1, 1, 5], "duplicate job index 1 in permutation"),
+            ([2, -1, 2, 0], "job index -1 out of range [0, 4)"),
+            (np.array([3, 3, -2, 0]), "duplicate job index 3 in permutation"),
+        ],
+    )
+    def test_first_offender_names_the_error(self, perm, message):
+        # the vectorised check decides, the element loop words the first offender
+        with pytest.raises(ValidationError) as err:
+            validate_permutation(perm, 4)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, np.float64])
+    def test_valid_any_numeric_dtype_returns_owned_int64(self, dtype):
+        perm = np.array([3, 0, 2, 1], dtype=dtype)
+        out = validate_permutation(perm, 4)
+        assert out.dtype == np.int64 and list(out) == [3, 0, 2, 1]
+        assert not np.shares_memory(out, perm)
 
 
 class TestCompletionTimes:
@@ -216,6 +241,33 @@ class TestMakespanBatch:
             perms = np.array(list(itertools.permutations(range(6))))
             expected = [oracle_makespan(inst.times, p) for p in perms]
             assert np.array_equal(makespan_batch(inst, perms), expected)
+
+    @pytest.mark.parametrize("rows", [2 * _BLOCK_ROWS + 37, _BLOCK_ROWS, 1, 0])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("times", ["gamma", "ties"])
+    def test_blocks_match_oracle_row_by_row(self, rng, rows, dtype, times):
+        # ragged last block, exactly one block, one row, no rows: each row bit-identical
+        m, n = 3, 4
+        x = rng.gamma(1.0, 2.0, (m, n)) if times == "gamma" else rng.integers(0, 3, (m, n))
+        inst = Instance(x.astype(float))
+        perms = np.array([rng.permutation(n) for _ in range(rows)], dtype=dtype).reshape(rows, n)
+        got = makespan_batch(inst, perms)
+        assert got.shape == (rows,)
+        cache = {p: oracle_makespan(inst.times, p) for p in itertools.permutations(range(n))}
+        assert np.array_equal(got, [cache[tuple(p)] for p in perms.tolist()])
+
+    def test_peak_memory_below_one_full_front(self, rng):
+        # blocks keep the working set small: one 8!-row call at m=5 peaks below
+        # the 1.6 MB a single (m, P) float64 front over all rows would take
+        inst = random_instance(rng, n=8, m=5)
+        perms = _lex_permutations(8)
+        tracemalloc.start()
+        try:
+            makespan_batch(inst, perms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(perms) * 8
 
 
 class TestGapPercent:
