@@ -8,14 +8,15 @@ several axes run one axis at a time to bound their rounding. Operations
 build a backward graph only when some input has ``requires_grad``, so
 inference on frozen parameters runs with no tape at all. Gradients are
 accumulated by walking the graph in reverse topological order from a
-scalar loss; a gradient an op has just allocated for one input becomes
-that input's ``grad`` without a copy.
+scalar loss; a gradient an op has just allocated for one input, or a node's
+own incoming gradient handed to one input alone (``add``'s first operand,
+the input of ``reshape`` and ``transpose``), becomes its ``grad`` uncopied.
 
 The op set is deliberately small: elementwise arithmetic, matmul with
 numpy broadcasting, a few nonlinearities, reductions, stable (log-)softmax
 that tolerates -inf masking, gather/scatter along an axis, concat,
-reshape/transpose, and where. Everything the policy network needs and
-nothing more.
+reshape/transpose, where, and batch/layer ``normalize`` as one node.
+Everything the policy network needs and nothing more.
 
 ``backward()`` releases the graph as it sweeps: each interior node's
 gradient, closure and parent links are dropped once its backward has run,
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "where", "gather_rows", "no_grad"]
+__all__ = ["Tensor", "concat", "where", "normalize", "gather_rows", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -130,9 +131,9 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add ``grad`` into this node's gradient.
 
-        ``owned`` says the op allocated ``grad`` for this input alone, so a
-        first write keeps it as is; any other first write is copied, because
-        ``grad`` may be a view that another input also receives.
+        ``owned`` says no other input receives ``grad``, so a first write
+        keeps it as is; any other first write is copied, because ``grad``
+        may be a view that another input also receives.
         """
         if self.grad is None:
             self.grad = grad if owned else np.array(grad, order="C")
@@ -179,7 +180,7 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
+                a._accumulate(_unbroadcast(g, a.data.shape), owned=True)
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g, b.data.shape))
 
@@ -285,19 +286,24 @@ class Tensor:
 
     def relu(self):
         a = self
-        keep = a.data > 0
+        out_data = np.maximum(a.data, 0)  # -0.0 comes out +0.0; NaN propagates
 
         def backward(g):
-            a._accumulate(g * keep, owned=True)
+            a._accumulate(g * (out_data > 0), owned=True)
 
-        return Tensor._make(np.where(keep, a.data, 0.0), (a,), backward)
+        return Tensor._make(out_data, (a,), backward)
 
     def sigmoid(self):
         a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
+        out_data = np.negative(a.data)
+        np.exp(out_data, out=out_data)
+        out_data += 1
+        np.divide(1, out_data, out=out_data)
 
         def backward(g):
-            a._accumulate(g * out_data * (1.0 - out_data), owned=True)
+            r = g * out_data
+            r *= 1 - out_data
+            a._accumulate(r, owned=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -406,7 +412,7 @@ class Tensor:
             shape = tuple(shape[0])
 
         def backward(g):
-            a._accumulate(g.reshape(a.data.shape))
+            a._accumulate(g.reshape(a.data.shape), owned=True)
 
         return Tensor._make(a.data.reshape(shape), (a,), backward)
 
@@ -417,7 +423,7 @@ class Tensor:
         inverse = np.argsort(axes)
 
         def backward(g):
-            a._accumulate(g.transpose(inverse))
+            a._accumulate(g.transpose(inverse), owned=True)
 
         return Tensor._make(a.data.transpose(axes), (a,), backward)
 
@@ -471,6 +477,48 @@ def where(cond: np.ndarray, a, b) -> Tensor:
             b._accumulate(_unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
 
     return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward)
+
+
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], eps: float, stats=None):
+    """``(x - mu) / sqrt(var + eps) * gamma + beta`` as one node; returns ``(y, mu, var)``.
+
+    The mean and biased variance are taken over ``axes`` (kept as size-1
+    axes), unless ``stats = (mu, var)`` fixes them. The forward runs the ops
+    of the composed chain in its order, so it is bit-identical to it. The
+    backward keeps only ``xhat`` and ``sd`` (Ioffe & Szegedy 2015): with
+    ``dxhat = g * gamma``, ``dx = (dxhat - mean(dxhat) - xhat *
+    mean(dxhat * xhat)) / sd``, or ``dxhat / sd`` with fixed statistics.
+    """
+    data = x.data
+    if stats is None:
+        scale = 1.0 / math.prod(data.shape[ax] for ax in axes)
+        mu = _sum(data, axes, keepdims=True) * scale
+        xhat = data - mu
+        var = _sum(xhat * xhat, axes, keepdims=True) * scale
+    else:
+        mu, var = (np.asarray(s, dtype=data.dtype) for s in stats)
+        xhat = data - mu
+    sd = np.sqrt(var + eps)
+    xhat /= sd
+    y = xhat * gamma.data
+    y += beta.data
+
+    def backward(g):
+        if x.requires_grad:
+            dx = g * gamma.data
+            if stats is None:
+                t = dx * xhat
+                mean_dx_xhat = _sum(t, axes, keepdims=True) * scale
+                dx -= _sum(dx, axes, keepdims=True) * scale
+                dx -= np.multiply(xhat, mean_dx_xhat, out=t)
+            dx /= sd
+            x._accumulate(dx, owned=True)
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape), owned=True)
+        if beta.requires_grad:  # last: beta may take g itself
+            beta._accumulate(_unbroadcast(g, beta.data.shape), owned=True)
+
+    return Tensor._make(y, (x, gamma, beta), backward), mu, var
 
 
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:

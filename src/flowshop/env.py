@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -84,8 +84,8 @@ def mask(state: ScheduleState) -> np.ndarray:
 class ExpertTrace:
     """One expert episode: the instance plus the action at every step.
 
-    State snapshots are not stored; :meth:`pairs` replays the actions to
-    materialize the (state, action) sequence on demand.
+    State snapshots are not stored; replaying the actions through
+    :func:`step` reconstructs them.
     """
 
     instance: Instance
@@ -93,18 +93,6 @@ class ExpertTrace:
 
     def __post_init__(self):
         validate_permutation(np.array(self.actions), self.instance.n)
-
-    def pairs(self) -> Iterator[tuple[ScheduleState, int]]:
-        state = reset(self.instance)
-        for action in self.actions:
-            yield state, action
-            state = step(state, action)
-
-    def final_state(self) -> ScheduleState:
-        state = reset(self.instance)
-        for action in self.actions:
-            state = step(state, action)
-        return state
 
 
 def record_expert_traces(

@@ -217,31 +217,24 @@ class Activations:
 
 
 def _normalize(params: PolicyParams, x: Tensor, layer: int, stream: str, mode: str) -> Tensor:
+    """Layer norm over the feature axis, or batch norm over the others: from the
+    batch in train mode (folded into the running buffers), from those buffers in eval mode."""
     kind = params.config.normalization
     if kind == "none":
         return x
-    gamma = params.tensors[f"enc{layer}_{stream}_gamma"]
-    beta = params.tensors[f"enc{layer}_{stream}_beta"]
+    name = f"enc{layer}_{stream}"
+    gamma, beta = params.tensors[f"{name}_gamma"], params.tensors[f"{name}_beta"]
     if kind == "layer":
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
-        xhat = (x - mu) / (var + _BN_EPS).sqrt()
-        return xhat * gamma + beta
+        return ag.normalize(x, gamma, beta, (-1,), _BN_EPS)[0]
+    running = (params.buffers[f"{name}_mean"], params.buffers[f"{name}_var"])
     axes = tuple(range(x.data.ndim - 1))
-    if mode == "train":
-        mu = x.mean(axis=axes, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
-        running_mean = params.buffers[f"enc{layer}_{stream}_mean"]
-        running_var = params.buffers[f"enc{layer}_{stream}_var"]
-        running_mean *= 1.0 - _BN_MOMENTUM
-        running_mean += _BN_MOMENTUM * mu.data.reshape(-1)
-        running_var *= 1.0 - _BN_MOMENTUM
-        running_var += _BN_MOMENTUM * var.data.reshape(-1)
-    else:
-        mu = Tensor(params.buffers[f"enc{layer}_{stream}_mean"].astype(x.data.dtype, copy=False))
-        var = Tensor(params.buffers[f"enc{layer}_{stream}_var"].astype(x.data.dtype, copy=False))
-    xhat = (x - mu) / (var + _BN_EPS).sqrt()
-    return xhat * gamma + beta
+    if mode != "train":
+        return ag.normalize(x, gamma, beta, axes, _BN_EPS, stats=running)[0]
+    y, mu, var = ag.normalize(x, gamma, beta, axes, _BN_EPS)
+    for buffer, stat in zip(running, (mu, var)):
+        buffer *= 1.0 - _BN_MOMENTUM
+        buffer += _BN_MOMENTUM * stat.reshape(-1)
+    return y
 
 
 def _aggregate(msg: Tensor, kind: str) -> Tensor:

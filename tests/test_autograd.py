@@ -71,6 +71,16 @@ class TestElementwise:
     def test_nonlinearities(self):
         check_op(lambda ts: (ts[0].tanh() + ts[0].sigmoid() + ts[0].relu()).sum(), [(5, 2)], seed=3)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_pins_zeros_and_nan(self, dtype):
+        x = Tensor(np.array([-0.0, -1.0, 0.0, 2.0, np.nan], dtype=dtype), requires_grad=True)
+        out = x.relu()
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 2.0, np.nan])
+        assert not np.signbit(out.data[:3]).any()  # -0.0 comes out +0.0
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 0.0])
+
     def test_exp_log(self):
         def build(ts):
             pos = ts[0] * ts[0] + 0.1
@@ -185,6 +195,72 @@ class TestShapeOps:
         check_op(lambda ts: (ag.gather_rows(ts[0], idx).pow(2.0)).sum(), [(2, 3, 2)])
 
 
+def composed_normalize(x, gamma, beta, axes, eps, stats=None):
+    """The normalization chain of plain ops that ``ag.normalize`` fuses."""
+    if stats is None:
+        mu = x.mean(axis=axes, keepdims=True)
+        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
+    else:
+        mu, var = (Tensor(s) for s in stats)
+    xhat = (x - mu) / (var + eps).sqrt()
+    return xhat * gamma + beta, mu.data, var.data
+
+
+# (axes, whether the statistics are fixed): batch statistics of an edge-shaped
+# tensor, the same with fixed running statistics, and layer statistics
+NORMALIZE_CASES = {
+    "batch": ((0, 1, 2), False),
+    "fixed-stats": ((0, 1, 2), True),
+    "layer": ((-1,), False),
+}
+
+
+class TestNormalize:
+    """The fused normalization against the composed chain it replaces."""
+
+    SHAPE = (3, 4, 2, 5)
+
+    @staticmethod
+    def _inputs(dtype, fixed):
+        rng = np.random.Generator(np.random.PCG64(11))
+        x = rng.normal(0.5, 2.0, size=TestNormalize.SHAPE)
+        gamma, beta = rng.normal(1.0, 0.3, size=5), rng.normal(0.0, 0.3, size=5)
+        weights = rng.normal(size=TestNormalize.SHAPE).astype(dtype)
+        stats = (rng.normal(0.5, 1.0, size=5), rng.uniform(0.5, 4.0, size=5)) if fixed else None
+        if stats is not None:
+            stats = tuple(s.astype(dtype) for s in stats)
+        return [a.astype(dtype) for a in (x, gamma, beta)], weights, stats
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("axes, fixed", NORMALIZE_CASES.values(), ids=NORMALIZE_CASES.keys())
+    def test_matches_composed(self, axes, fixed, dtype):
+        arrays, weights, stats = self._inputs(dtype, fixed)
+        results = []
+        for op in (ag.normalize, composed_normalize):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            y, mu, var = op(*leaves, axes, 1e-5, stats=stats)
+            (y * weights).sum().backward()
+            results.append(([y.data, mu, var], [t.grad for t in leaves]))
+        (forward, grads), (ref_forward, ref_grads) = results
+        for got, ref in zip(forward, ref_forward):  # the same numpy ops in the same order
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip(grads, ref_grads):  # the backward sums in another order
+            assert got.dtype == dtype
+            if dtype == np.float64:
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("axes, fixed", NORMALIZE_CASES.values(), ids=NORMALIZE_CASES.keys())
+    def test_numeric_gradient(self, axes, fixed):
+        _, weights, stats = self._inputs(np.float64, fixed)
+        check_op(
+            lambda ts: (ag.normalize(ts[0], ts[1], ts[2], axes, 1e-5, stats=stats)[0] * weights).sum(),
+            [self.SHAPE, (5,), (5,)],
+        )
+
+
 class TestGraphMechanics:
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -260,6 +336,7 @@ FLOAT32_OPS = {
     "where-constant": (lambda ts: ag.where(np.array([True, False, True]), ts[0], -np.inf), [(3,)]),
     "where": (lambda ts: ag.where(np.array([True, False]), ts[0], ts[1]), [(2,), (2,)]),
     "gather-rows": (lambda ts: ag.gather_rows(ts[0], np.array([[0, 0, 3], [2, 2, 1]])), [(2, 4, 3)]),
+    "normalize": (lambda ts: ag.normalize(ts[0], ts[1], ts[2], (0, 1), 1e-5)[0], [(2, 3, 4), (4,), (4,)]),
 }
 
 
@@ -290,6 +367,7 @@ SHARED_INPUT_CASES = {
     "broadcast sum": lambda u, v, y: u.sum(axis=0) * v + y,
     "reshape": lambda u, v, y: u.reshape(4, 3) + (v + y).reshape(4, 3),
     "transpose": lambda u, v, y: u.transpose(1, 0) @ (v * y),
+    "normalize(x) + x": lambda u, v, y: ag.normalize(u, y, y, (0,), 1e-5)[0] + v,
 }
 
 

@@ -92,17 +92,6 @@ class TestExpertTrace:
         with pytest.raises(ValidationError):
             ExpertTrace(inst, (0, 0, 1))
 
-    def test_pairs_replay(self, rng):
-        inst = random_instance(rng, n=5, m=3)
-        trace = ExpertTrace(inst, (4, 2, 0, 1, 3))
-        pairs = list(trace.pairs())
-        assert len(pairs) == 5
-        for t, (state, action) in enumerate(pairs):
-            assert state.t == t
-            assert action in state.unscheduled
-            assert mask(state)[action]
-        assert trace.final_state().done
-
     def test_record_identical_jobs_gives_identity(self):
         inst = Instance(np.tile(np.array([[2.0], [1.0]]), (1, 5)))
         trace = record_expert_traces([inst])[0]
@@ -112,8 +101,6 @@ class TestExpertTrace:
         inst = Instance(np.array([[3.0]]))
         trace = record_expert_traces([inst])[0]
         assert trace.actions == (0,)
-        pairs = list(trace.pairs())
-        assert len(pairs) == 1 and pairs[0][1] == 0
 
     def test_record_matches_expert(self, rng):
         insts = [random_instance(rng, n=6, m=3) for _ in range(4)]

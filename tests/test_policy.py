@@ -613,13 +613,16 @@ class TestFloat64Pinned:
     The loss, every gradient and the batch-norm buffers the model reads are
     pinned bit for bit on the build that captured them. Another numpy build or
     SIMD path may round exp, tanh and the GEMMs differently in the last bit,
-    so there the loss is held to 1e-12 and each gradient norm to 1e-9. Exact
-    zeros and greedy permutations are checked exactly everywhere.
+    so there the loss is held to 1e-12. Each gradient norm is held to 1e-9 on
+    every build: the gradient hash was re-captured when the fused
+    normalization backward changed the order of its sums, and the norms,
+    captured before that, keep it anchored. Exact zeros and greedy
+    permutations are checked exactly everywhere.
     """
 
     PINNED_BUILD = ("2.4.6", "x86_64", True)
     LOSS = float.fromhex("0x1.5fb553836287ap+0")
-    GRADS_SHA256 = "039747bab683003b50163acd25b7c4cb955c4c8cf0ea04e37279998e80d26242"
+    GRADS_SHA256 = "7e9757423af75cfdf254c319f55308143fe2469768b339c88d12109e2fa5977b"
     BUFFERS_SHA256 = "4b06aa9f88b6fa0631a319be46902442c3ab37b51e270c61c59b6373458360ab"
     GRAD_NORMS = {
         "enc0_B": 1.0497223434315497,
@@ -678,8 +681,8 @@ class TestFloat64Pinned:
             assert self._digest(params.buffers) == self.BUFFERS_SHA256
         else:
             assert loss == pytest.approx(self.LOSS, rel=1e-12)
-            for name, norm in self.GRAD_NORMS.items():
-                assert np.linalg.norm(grads[name]) == pytest.approx(norm, rel=1e-9, abs=0.0), name
+        for name, norm in self.GRAD_NORMS.items():
+            assert np.linalg.norm(grads[name]) == pytest.approx(norm, rel=1e-9, abs=0.0), name
 
     def test_greedy_permutations(self):
         params = PolicyParams.init(PolicyConfig(machines=3, hidden_dim=8, layers=2, heads=2), seed=5)
