@@ -10,13 +10,15 @@ inference on frozen parameters runs with no tape at all. Gradients are
 accumulated by walking the graph in reverse topological order from a
 scalar loss; a gradient an op has just allocated for one input, or a node's
 own incoming gradient handed to one input alone (``add``'s first operand,
-the input of ``reshape`` and ``transpose``), becomes its ``grad`` uncopied.
+the input of ``reshape`` and ``transpose``, each ``concat`` slice), becomes
+its ``grad`` uncopied.
 
 The op set is deliberately small: elementwise arithmetic, matmul with
 numpy broadcasting, a few nonlinearities, reductions, stable (log-)softmax
 that tolerates -inf masking, gather/scatter along an axis, concat,
-reshape/transpose, where, and batch/layer ``normalize`` as one node.
-Everything the policy network needs and nothing more.
+reshape/transpose, where, and three fused nodes of the gated graph layer:
+batch/layer ``normalize``, the ``gated_message`` and the
+``edge_preactivation``. Everything the policy network needs and nothing more.
 
 ``backward()`` releases the graph as it sweeps: each interior node's
 gradient, closure and parent links are dropped once its backward has run,
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "where", "normalize", "gather_rows", "no_grad"]
+__all__ = ["Tensor", "concat", "where", "normalize", "gather_rows", "gated_message", "edge_preactivation", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -82,6 +84,33 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, src: np.ndarray, axis: int
     grids = list(np.indices(idx.shape, sparse=False))
     grids[axis] = idx
     np.add.at(target, tuple(grids), src)
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """Inverse of ``t[b, idx[b, j]]``: sum the rows of g (B, J, D) into a fresh (B, rows, D).
+
+    Duplicate indices add. While rows <= D this is a one-hot (B, rows, J) @
+    (B, J, D) batched matmul, no larger than ``g`` and ~20x faster than
+    np.add.at at the n=20 encoder gathers; above D the one-hot outgrows the
+    gradient and np.add.at takes over.
+    """
+    batch, cols = idx.shape
+    grid = np.arange(batch)[:, None]
+    if rows <= g.shape[-1]:
+        onehot = np.zeros((batch, rows, cols), dtype=g.dtype)
+        onehot[grid, idx, np.arange(cols)] = 1.0
+        return onehot @ g
+    out = np.zeros((batch, rows, g.shape[-1]), dtype=g.dtype)
+    np.add.at(out, (grid, idx), g)
+    return out
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` in one fresh array, without temporaries."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1
+    return np.divide(1, out, out=out)
 
 
 def _released(grad: np.ndarray) -> None:
@@ -182,7 +211,8 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.data.shape), owned=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
+                gb = _unbroadcast(g, b.data.shape)  # owned when summed into a fresh array
+                b._accumulate(gb, owned=not np.may_share_memory(gb, g))
 
         return Tensor._make(a.data + b.data, (a, b), backward)
 
@@ -295,10 +325,7 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        out_data = np.negative(a.data)
-        np.exp(out_data, out=out_data)
-        out_data += 1
-        np.divide(1, out_data, out=out_data)
+        out_data = _sigmoid(a.data)
 
         def backward(g):
             r = g * out_data
@@ -443,7 +470,8 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a._accumulate(ga, owned=not np.may_share_memory(ga, g))
 
         return Tensor._make(np.broadcast_to(a.data, shape).copy(), (a,), backward)
 
@@ -459,7 +487,7 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(index)])
+                t._accumulate(g[tuple(index)], owned=True)  # a disjoint slice
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
@@ -524,19 +552,92 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], eps
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     """Pick rows of a (B, N, D) tensor: out[b, j] = t[b, idx[b, j]].
 
-    The backward pass scatter-adds the gradient rows through a one-hot
-    (B, N, J) @ (B, J, D) batched matmul, where J = idx.shape[1]; duplicate
-    indices sum there. At the n=20 encoder and context gathers this is about
-    8x faster than np.add.at, at n=100 with k=20 about 2x; the one-hot is
-    no larger than the incoming gradient while N <= D.
+    The backward pass scatter-adds the gradient rows (see ``_scatter_rows``);
+    duplicate indices sum there.
     """
     idx = np.asarray(idx, dtype=np.int64)
     batch, rows = t.data.shape[:2]
-    batch_grid = np.arange(batch)[:, None]
 
     def backward(g):
-        onehot = np.zeros((batch, rows, idx.shape[1]), dtype=g.dtype)
-        onehot[batch_grid, idx, np.arange(idx.shape[1])] = 1.0
-        t._accumulate(onehot @ g, owned=True)
+        t._accumulate(_scatter_rows(g, idx, rows), owned=True)
 
-    return Tensor._make(t.data[batch_grid, idx], (t,), backward)
+    return Tensor._make(t.data[np.arange(batch)[:, None], idx], (t,), backward)
+
+
+def gated_message(e: Tensor, ch: Tensor, nbr: np.ndarray, aggregation: str) -> Tensor:
+    """``agg_k(sigmoid(e) * ch[nbr])`` as one node: (B, n, k, d), (B, n, d) -> (B, n, d).
+
+    ``nbr`` (B, n, k) indexes rows of ``ch``; ``aggregation`` is "mean",
+    "sum" or "max" over k, and max routes the gradient to the first argmax,
+    as ``Tensor.max`` does. The forward runs the ops of the composed chain
+    in its order, so it is bit-identical to it. The backward keeps only
+    ``s = sigmoid(e)`` (and the argmax): with ``dm`` the gradient of the
+    message, ``de = dm * ch[nbr] * s * (1 - s)`` gathers ``ch[nbr]`` again,
+    and ``dch`` scatters ``dm * s`` through the same index.
+    """
+    batch, n, k = nbr.shape
+    idx = np.asarray(nbr, dtype=np.int64).reshape(batch, n * k)
+    grid = np.arange(batch)[:, None]
+    s = _sigmoid(e.data)
+    msg = ch.data[grid, idx].reshape(s.shape)
+    msg *= s
+    if aggregation == "max":
+        am = np.argmax(msg, axis=2)[:, :, None]
+        out = np.take_along_axis(msg, am, axis=2)[:, :, 0]
+    else:
+        out = msg.sum(axis=2)
+        if aggregation == "mean":
+            scale = out.dtype.type(1.0 / k)
+            out *= scale
+
+    def backward(g):
+        if aggregation == "max":
+            dm = np.zeros_like(s)
+            np.put_along_axis(dm, am, g[:, :, None], axis=2)
+        else:
+            dm = (g * scale if aggregation == "mean" else g)[:, :, None]
+        if ch.requires_grad:
+            dch = (dm * s).reshape(batch, n * k, -1)
+            ch._accumulate(_scatter_rows(dch, idx, n), owned=True)
+        if e.requires_grad:
+            de = ch.data[grid, idx].reshape(s.shape)
+            de *= dm
+            de *= s
+            de *= 1 - s
+            e._accumulate(de, owned=True)
+
+    return Tensor._make(out, (e, ch), backward)
+
+
+def edge_preactivation(e: Tensor, h: Tensor, wd: Tensor, we: Tensor, wf: Tensor, nbr: np.ndarray) -> Tensor:
+    """``e @ wd.T + (h @ we.T)[:, :, None] + (h @ wf.T)[nbr]`` as one node: (B, n, k, d).
+
+    ``e`` is (B, n, k, d), ``h`` (B, n, d) and ``nbr`` (B, n, k) indexes rows
+    of ``h``. The forward adds the three terms into the first in place, in
+    the composed chain's order, so it is bit-identical to it. The backward
+    works from ``g``, ``e``, ``h`` and the weights alone and never forms the
+    broadcast sums: the ``we`` term takes ``g`` summed over k, and the
+    ``wf`` term ``g`` scattered through ``nbr``.
+    """
+    batch, n, k = nbr.shape
+    idx = np.asarray(nbr, dtype=np.int64).reshape(batch, n * k)
+    (d_out, d_e), d_h = wd.data.shape, we.data.shape[1]
+    h2 = h.data.reshape(-1, d_h)
+    out = (e.data.reshape(-1, d_e) @ wd.data.T).reshape(batch, n, k, d_out)
+    out += (h2 @ we.data.T).reshape(batch, n, 1, d_out)
+    out += (h2 @ wf.data.T).reshape(batch, n, d_out)[np.arange(batch)[:, None], idx].reshape(out.shape)
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        if e.requires_grad:
+            e._accumulate((g2 @ wd.data).reshape(e.data.shape), owned=True)
+        if wd.requires_grad:
+            wd._accumulate((e.data.reshape(-1, d_e).T @ g2).T, owned=True)
+        for w, gw in ((we, g.sum(axis=2)), (wf, _scatter_rows(g.reshape(batch, n * k, d_out), idx, n))):
+            gw2 = gw.reshape(-1, d_out)
+            if h.requires_grad:
+                h._accumulate((gw2 @ w.data).reshape(h.data.shape), owned=True)
+            if w.requires_grad:
+                w._accumulate((h.data.reshape(-1, d_h).T @ gw2).T, owned=True)
+
+    return Tensor._make(out, (e, h, wd, we, wf), backward)

@@ -7,7 +7,9 @@ convolution stack embeds nodes and edges with residual updates
     h' = h + ReLU(Nm(B h_j + Ag_k(sigmoid(e_jk) * C h_k)))
     e' = e + ReLU(Nm(D e_jk + E h_j + F h_k))
 
-and the decoder refines a 3d context [graph embedding, first job, last
+The message Ag_k(...) and the edge pre-activation inside Nm(...) are one
+autograd node each (``gated_message``, ``edge_preactivation``). The
+decoder refines a 3d context [graph embedding, first job, last
 job] with one multi-head attention block, then scores each unscheduled
 job with clip * tanh(query . key / sqrt(d)) logits; scheduled jobs are
 masked to -inf so their probability is exactly zero.
@@ -237,14 +239,6 @@ def _normalize(params: PolicyParams, x: Tensor, layer: int, stream: str, mode: s
     return y
 
 
-def _aggregate(msg: Tensor, kind: str) -> Tensor:
-    if kind == "mean":
-        return msg.mean(axis=2)
-    if kind == "sum":
-        return msg.sum(axis=2)
-    return msg.max(axis=2)
-
-
 def _encode_core(
     params: PolicyParams,
     x: np.ndarray,
@@ -263,10 +257,6 @@ def _encode_core(
     cfg = params.config
     t = params.tensors
     dtype = t["w_h"].data.dtype
-    batch, n, _ = x.shape
-    k = nbr.shape[2]
-    nbr_flat = nbr.reshape(batch, n * k)
-
     h = Tensor(x.astype(dtype, copy=False)) @ t["w_h"].transpose(1, 0)
     e = Tensor(dist[..., None].astype(dtype, copy=False)) * t["w_e"]
     node_layers = [h]
@@ -274,20 +264,18 @@ def _encode_core(
     for layer in range(cfg.layers):
         bh = h @ t[f"enc{layer}_B"].transpose(1, 0)
         ch = h @ t[f"enc{layer}_C"].transpose(1, 0)
-        ch_nbr = ag.gather_rows(ch, nbr_flat).reshape(batch, n, k, -1)
-        msg = e.sigmoid() * ch_nbr
-        node_pre = bh + _aggregate(msg, cfg.aggregation)
+        node_pre = bh + ag.gated_message(e, ch, nbr, cfg.aggregation)
         h = h + _normalize(params, node_pre, layer, "node", mode).relu()
+        finite = np.isfinite(h.data).all()
 
         if layer + 1 < cfg.layers:
-            de = e @ t[f"enc{layer}_D"].transpose(1, 0)
-            eh = (node_layers[layer] @ t[f"enc{layer}_E"].transpose(1, 0)).reshape(batch, n, 1, -1)
-            fh = ag.gather_rows(node_layers[layer] @ t[f"enc{layer}_F"].transpose(1, 0), nbr_flat)
-            edge_pre = de + eh + fh.reshape(batch, n, k, -1)
+            weights = (t[f"enc{layer}_{name}"] for name in ("D", "E", "F"))
+            edge_pre = ag.edge_preactivation(e, node_layers[layer], *weights, nbr)
             e = e + _normalize(params, edge_pre, layer, "edge", mode).relu()
+            finite = finite and np.isfinite(e.data).all()
             edge_layers.append(e)
 
-        if not np.isfinite(h.data).all() or not np.isfinite(e.data).all():
+        if not finite:
             raise NumericError(f"non-finite activations at encoder layer {layer}")
         node_layers.append(h)
     h_graph = h.mean(axis=1)

@@ -261,6 +261,91 @@ class TestNormalize:
         )
 
 
+@pytest.mark.parametrize("rows, dim", [(3, 5), (5, 5), (8, 5)], ids=["N<D", "N=D", "N>D"])
+def test_scatter_rows_matches_add_at(rows, dim):
+    # the one-hot matmul runs while N <= D and np.add.at above; small integers sum exactly in any order
+    rng = np.random.Generator(np.random.PCG64(4))
+    idx = rng.integers(0, rows, size=(2, 11))
+    idx[:, :3] = idx[:, 3:4]  # duplicates in every batch row
+    g = rng.integers(-5, 6, size=(2, 11, dim)).astype(np.float64)
+    ref = np.zeros((2, rows, dim))
+    np.add.at(ref, (np.arange(2)[:, None], idx), g)
+    got = ag._scatter_rows(g, idx, rows)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got, ref)
+
+
+def composed_gated_message(e, ch, nbr, aggregation, gather=ag.gather_rows):
+    """The gated message chain of plain ops that ``ag.gated_message`` fuses."""
+    batch, n, k = nbr.shape
+    msg = e.sigmoid() * gather(ch, nbr.reshape(batch, n * k)).reshape(batch, n, k, -1)
+    if aggregation == "max":
+        return msg.max(axis=2)
+    return msg.mean(axis=2) if aggregation == "mean" else msg.sum(axis=2)
+
+
+def composed_edge_preactivation(e, h, wd, we, wf, nbr, gather=ag.gather_rows):
+    """The edge pre-activation chain of plain ops that ``ag.edge_preactivation`` fuses."""
+    batch, n, k = nbr.shape
+    eh = (h @ we.transpose(1, 0)).reshape(batch, n, 1, -1)
+    fh = gather(h @ wf.transpose(1, 0), nbr.reshape(batch, n * k)).reshape(batch, n, k, -1)
+    return e @ wd.transpose(1, 0) + eh + fh
+
+
+# B=2, n=4, k=3 with repeated neighbours; e and h of different widths, output width 3
+LAYER_NBR = np.array([[[1, 2, 3], [0, 0, 2], [3, 1, 0], [2, 2, 2]], [[3, 2, 1], [0, 3, 2], [1, 1, 0], [0, 2, 1]]])
+LAYER_OPS = {
+    **{
+        f"gated-message-{agg}": (
+            lambda ts, agg=agg: ag.gated_message(ts[0], ts[1], LAYER_NBR, agg),
+            lambda ts, agg=agg: composed_gated_message(ts[0], ts[1], LAYER_NBR, agg),
+            [(2, 4, 3, 5), (2, 4, 5)],
+        )
+        for agg in ("mean", "sum", "max")
+    },
+    "edge-preactivation": (
+        lambda ts: ag.edge_preactivation(*ts, LAYER_NBR),
+        lambda ts: composed_edge_preactivation(*ts, LAYER_NBR),
+        [(2, 4, 3, 4), (2, 4, 5), (3, 4), (3, 5), (3, 5)],
+    ),
+}
+
+
+class TestLayerOps:
+    """The fused gated-graph layer ops against the composed chains they replace."""
+
+    @staticmethod
+    def _weights(shape):
+        return np.random.Generator(np.random.PCG64(12)).normal(size=shape)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fused, composed, shapes", LAYER_OPS.values(), ids=LAYER_OPS.keys())
+    def test_matches_composed(self, fused, composed, shapes, dtype):
+        rng = np.random.Generator(np.random.PCG64(11))
+        arrays = [rng.normal(0.0, 1.5, size=shape).astype(dtype) for shape in shapes]
+        results = []
+        for op in (fused, composed):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(leaves)
+            (out * self._weights(out.data.shape).astype(dtype)).sum().backward()
+            results.append((out.data, [t.grad for t in leaves]))
+        (forward, grads), (ref_forward, ref_grads) = results
+        assert forward.dtype == dtype
+        np.testing.assert_array_equal(forward, ref_forward)  # the same numpy ops in the same order
+        for got, ref in zip(grads, ref_grads):  # the backward may sum in another order
+            assert got.dtype == dtype
+            if dtype == np.float64:
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("fused, composed, shapes", LAYER_OPS.values(), ids=LAYER_OPS.keys())
+    def test_numeric_gradient(self, fused, composed, shapes):
+        out_shape = fused([Tensor(np.ones(shape)) for shape in shapes]).data.shape
+        weights = self._weights(out_shape)
+        check_op(lambda ts: (fused(ts) * weights).sum(), shapes)
+
+
 class TestGraphMechanics:
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -337,6 +422,7 @@ FLOAT32_OPS = {
     "where": (lambda ts: ag.where(np.array([True, False]), ts[0], ts[1]), [(2,), (2,)]),
     "gather-rows": (lambda ts: ag.gather_rows(ts[0], np.array([[0, 0, 3], [2, 2, 1]])), [(2, 4, 3)]),
     "normalize": (lambda ts: ag.normalize(ts[0], ts[1], ts[2], (0, 1), 1e-5)[0], [(2, 3, 4), (4,), (4,)]),
+    **{name: (fused, shapes) for name, (fused, _, shapes) in LAYER_OPS.items()},
 }
 
 
@@ -360,6 +446,7 @@ class TestFloat32:
 
 
 # f(u, v, y) where u and v are two uses of one input x and y is a second input
+SHARED_NBR = np.array([[[2], [0], [0]]])
 SHARED_INPUT_CASES = {
     "x + x": lambda u, v, y: (u + v) + y,  # the outer add hands one gradient to two inputs
     "a * a": lambda u, v, y: u * v + y,
@@ -368,6 +455,13 @@ SHARED_INPUT_CASES = {
     "reshape": lambda u, v, y: u.reshape(4, 3) + (v + y).reshape(4, 3),
     "transpose": lambda u, v, y: u.transpose(1, 0) @ (v * y),
     "normalize(x) + x": lambda u, v, y: ag.normalize(u, y, y, (0,), 1e-5)[0] + v,
+    # e and ch, and e and h, from one input: (B, n, k, d) = (1, 3, 1, 4)
+    "gated_message(x, x)": lambda u, v, y: ag.gated_message(
+        u.reshape(1, 3, 1, 4), v.reshape(1, 3, 4), SHARED_NBR, "mean"
+    ).reshape(3, 4) + y,
+    "edge_preactivation(x, x)": lambda u, v, y: ag.edge_preactivation(
+        u.reshape(1, 3, 1, 4), v.reshape(1, 3, 4), y, y, y, SHARED_NBR
+    ).reshape(3, 3),
 }
 
 

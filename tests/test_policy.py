@@ -1,5 +1,6 @@
 """Policy network: graph, encoder, decoder, rollouts, and the BC loss."""
 
+import functools
 import hashlib
 import math
 import platform
@@ -29,6 +30,7 @@ from flowshop.policy import (
 )
 
 from conftest import random_instance
+from test_autograd import composed_edge_preactivation, composed_gated_message
 
 TINY = dict(hidden_dim=4, layers=1, heads=2, machines=2)
 
@@ -528,13 +530,19 @@ class TestBcLossBackward:
 
     def test_gradients_match_reference_formulas_full_batch(self, monkeypatch):
         # B=128 at n=20; d=32 keeps the reference's (B, n, k, d, d) products small.
-        # The folded GEMMs and the one-hot scatter sum the same products in
-        # another order, hence the 1e-12 tolerances.
+        # The folded GEMMs, the one-hot scatter and the fused layer ops sum the
+        # same products in another order, hence the 1e-12 tolerances. The
+        # reference runs the layer as composed plain ops, so none of them is
+        # the code under test.
         cfg = PolicyConfig(machines=5, hidden_dim=32)
         batch = self._batch(cfg, count=128, n=20)
         loss, grads = bc_loss(PolicyParams.init(cfg, seed=0), batch)
         monkeypatch.setattr(Tensor, "_matmul_2d_weight", _outer_product_matmul)
         monkeypatch.setattr(ag, "gather_rows", _add_at_gather_rows)
+        monkeypatch.setattr(ag, "gated_message", functools.partial(composed_gated_message, gather=_add_at_gather_rows))
+        monkeypatch.setattr(
+            ag, "edge_preactivation", functools.partial(composed_edge_preactivation, gather=_add_at_gather_rows)
+        )
         ref_loss, ref_grads = bc_loss(PolicyParams.init(cfg, seed=0), batch)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
         assert grads.keys() == ref_grads.keys()
@@ -563,6 +571,35 @@ class TestBcLossBackward:
         assert peak - base <= 1.25 * held
         assert current - base < 0.1 * held  # only the leaves' grads remain
         assert after_bc_loss < 0.1 * held
+
+    def test_forward_tape_holds_six_edge_arrays_per_edge_layer(self):
+        # At k = n - 1 an edge array (B, n, k, d) is k = 23 node arrays (B, n, d),
+        # so edge arrays dominate the tape. Each layer that updates edges keeps
+        # six: sigmoid(e) in the gated message, the edge pre-activation, the
+        # normalization's xhat and output, the relu output and the residual sum.
+        # The last layer keeps sigmoid(e) alone, and e^0 is one more: 6 (L - 1) + 2.
+        # The rest is node-sized: 8 arrays a layer in the node stream (bh, ch,
+        # the message, node_pre, xhat, the normalized output, relu, the residual)
+        # and about 20 in the decoder, whose (B, n, n) attention and logits are
+        # 3/8 of a node array at n=24, d=64; ~49 node arrays were measured. The
+        # slack of 64 covers them, but not one extra edge array (23 more). The
+        # composed chain kept 11 edge arrays per updating layer and 3 in the last.
+        cfg = PolicyConfig(machines=3, hidden_dim=64, heads=1, neighbor_fraction=1.0)
+        batch = self._batch(cfg, count=2, n=24)
+        params = _float32_params(PolicyParams.init(cfg, seed=0))
+        bc_loss(params, batch)  # first call pays for lazy set-up
+        params.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = -policy._teacher_forced_logprobs(params, batch, "train").mean()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert loss.data.dtype == np.float32
+        node = batch.neighbors.shape[0] * batch.neighbors.shape[1] * cfg.hidden_dim * 4
+        edge = node * batch.neighbors.shape[2]
+        assert held < (6 * (cfg.layers - 1) + 2) * edge + 64 * node
 
 
 def _float32_params(params: PolicyParams) -> PolicyParams:
