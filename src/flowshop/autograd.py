@@ -89,20 +89,15 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, src: np.ndarray, axis: int
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
     """Inverse of ``t[b, idx[b, j]]``: sum the rows of g (B, J, D) into a fresh (B, rows, D).
 
-    Duplicate indices add. While rows <= D this is a one-hot (B, rows, J) @
-    (B, J, D) batched matmul, no larger than ``g`` and ~20x faster than
-    np.add.at at the n=20 encoder gathers; above D the one-hot outgrows the
-    gradient and np.add.at takes over.
+    Duplicate indices add, through a one-hot (B, rows, J) @ (B, J, D)
+    batched matmul. At the n=20 encoder and context gathers this is about
+    8x faster than np.add.at, at n=100 with k=20 about 2x; the one-hot is
+    no larger than ``g`` while rows <= D.
     """
     batch, cols = idx.shape
-    grid = np.arange(batch)[:, None]
-    if rows <= g.shape[-1]:
-        onehot = np.zeros((batch, rows, cols), dtype=g.dtype)
-        onehot[grid, idx, np.arange(cols)] = 1.0
-        return onehot @ g
-    out = np.zeros((batch, rows, g.shape[-1]), dtype=g.dtype)
-    np.add.at(out, (grid, idx), g)
-    return out
+    onehot = np.zeros((batch, rows, cols), dtype=g.dtype)
+    onehot[np.arange(batch)[:, None], idx, np.arange(cols)] = 1.0
+    return onehot @ g
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -598,7 +593,7 @@ def gated_message(e: Tensor, ch: Tensor, nbr: np.ndarray, aggregation: str) -> T
             dm = (g * scale if aggregation == "mean" else g)[:, :, None]
         if ch.requires_grad:
             dch = (dm * s).reshape(batch, n * k, -1)
-            ch._accumulate(_scatter_rows(dch, idx, n), owned=True)
+            ch._accumulate(_scatter_rows(dch, idx, ch.data.shape[1]), owned=True)
         if e.requires_grad:
             de = ch.data[grid, idx].reshape(s.shape)
             de *= dm

@@ -261,21 +261,21 @@ def _encode_core(
     e = Tensor(dist[..., None].astype(dtype, copy=False)) * t["w_e"]
     node_layers = [h]
     edge_layers = [e]
+    edges_finite = np.isfinite(e.data).all()  # e^0; later, only an updated e is checked again
     for layer in range(cfg.layers):
         bh = h @ t[f"enc{layer}_B"].transpose(1, 0)
         ch = h @ t[f"enc{layer}_C"].transpose(1, 0)
         node_pre = bh + ag.gated_message(e, ch, nbr, cfg.aggregation)
         h = h + _normalize(params, node_pre, layer, "node", mode).relu()
-        finite = np.isfinite(h.data).all()
 
         if layer + 1 < cfg.layers:
             weights = (t[f"enc{layer}_{name}"] for name in ("D", "E", "F"))
             edge_pre = ag.edge_preactivation(e, node_layers[layer], *weights, nbr)
             e = e + _normalize(params, edge_pre, layer, "edge", mode).relu()
-            finite = finite and np.isfinite(e.data).all()
+            edges_finite = np.isfinite(e.data).all()
             edge_layers.append(e)
 
-        if not finite:
+        if not (edges_finite and np.isfinite(h.data).all()):
             raise NumericError(f"non-finite activations at encoder layer {layer}")
         node_layers.append(h)
     h_graph = h.mean(axis=1)

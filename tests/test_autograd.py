@@ -263,7 +263,7 @@ class TestNormalize:
 
 @pytest.mark.parametrize("rows, dim", [(3, 5), (5, 5), (8, 5)], ids=["N<D", "N=D", "N>D"])
 def test_scatter_rows_matches_add_at(rows, dim):
-    # the one-hot matmul runs while N <= D and np.add.at above; small integers sum exactly in any order
+    # the one-hot is the only path at every N; small integers sum exactly in any order
     rng = np.random.Generator(np.random.PCG64(4))
     idx = rng.integers(0, rows, size=(2, 11))
     idx[:, :3] = idx[:, 3:4]  # duplicates in every batch row
@@ -303,6 +303,11 @@ LAYER_OPS = {
         )
         for agg in ("mean", "sum", "max")
     },
+    "gated-message-ch-rows-beyond-n": (  # ch has 6 rows, two of them never gathered
+        lambda ts: ag.gated_message(ts[0], ts[1], LAYER_NBR, "mean"),
+        lambda ts: composed_gated_message(ts[0], ts[1], LAYER_NBR, "mean"),
+        [(2, 4, 3, 5), (2, 6, 5)],
+    ),
     "edge-preactivation": (
         lambda ts: ag.edge_preactivation(*ts, LAYER_NBR),
         lambda ts: composed_edge_preactivation(*ts, LAYER_NBR),

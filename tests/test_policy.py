@@ -234,6 +234,14 @@ class TestEncode:
             with pytest.raises(NumericError, match="layer 0"):
                 encode(params, build_graph(inst))
 
+    def test_nonfinite_initial_edges_single_layer(self, rng):
+        # an infinite e^0 saturates the gate's sigmoid, so h stays finite and only e^0 shows it
+        inst = random_instance(rng, n=4, m=2)
+        params = tiny_params(layers=1)
+        params.tensors["w_e"].data[:] = np.inf
+        with pytest.raises(NumericError, match="layer 0"):
+            encode(params, build_graph(inst))
+
 
 class TestContext:
     def test_t0_uses_placeholders(self, rng):
