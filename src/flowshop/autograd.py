@@ -13,12 +13,14 @@ own incoming gradient handed to one input alone (``add``'s first operand,
 the input of ``reshape`` and ``transpose``, each ``concat`` slice), becomes
 its ``grad`` uncopied.
 
-The op set is deliberately small: elementwise arithmetic, matmul with
-numpy broadcasting, a few nonlinearities, reductions, stable (log-)softmax
-that tolerates -inf masking, gather/scatter along an axis, concat,
-reshape/transpose, where, and three fused nodes of the gated graph layer:
-batch/layer ``normalize``, the ``gated_message`` and the
-``edge_preactivation``. Everything the policy network needs and nothing more.
+The op set is deliberately small: elementwise + - * / and sqrt, matmul
+with numpy broadcasting, relu/sigmoid/tanh, sum/mean/max reductions, stable
+(log-)softmax that tolerates -inf masking, gather/scatter along an axis,
+concat, reshape/transpose/broadcast_to, where, and three fused nodes of the
+gated graph layer: batch/layer ``normalize``, the ``gated_message`` and the
+``edge_preactivation``. The policy network needs all of them except binary
+``-``, ``/``, ``sqrt``, ``sigmoid`` and ``max``, which the tests compose into
+reference chains for the fused nodes.
 
 ``backward()`` releases the graph as it sweeps: each interior node's
 gradient, closure and parent links are dropped once its backward has run,
@@ -290,14 +292,6 @@ class Tensor:
         out = a.data.reshape(-1, q) @ w.data
         return Tensor._make(out.reshape(*a.data.shape[:-1], r), (a, w), backward)
 
-    def pow(self, exponent: float):
-        a = self
-
-        def backward(g):
-            a._accumulate(g * exponent * np.power(a.data, exponent - 1.0), owned=True)
-
-        return Tensor._make(np.power(a.data, exponent), (a,), backward)
-
     def sqrt(self):
         a = self
         out_data = np.sqrt(a.data)
@@ -337,23 +331,6 @@ class Tensor:
             a._accumulate(g * (1.0 - out_data * out_data), owned=True)
 
         return Tensor._make(out_data, (a,), backward)
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(g):
-            a._accumulate(g * out_data, owned=True)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def log(self):
-        a = self
-
-        def backward(g):
-            a._accumulate(g / a.data, owned=True)
-
-        return Tensor._make(np.log(a.data), (a,), backward)
 
     # -- reductions ----------------------------------------------------------
 

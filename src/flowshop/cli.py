@@ -164,13 +164,11 @@ def _cmd_train(args) -> int:
     config = TrainConfig(
         policy=policy,
         checkpoint_path=args.out,
-        dataset_path=args.dataset,
         **_given(
-            args, "epochs", "batch_size", "lr_decay", "seed", "checkpoint_every",
-            learning_rate="lr", log_path="log", traces_path="traces", val_dataset_path="val_dataset",
+            args, "epochs", "batch_size", "lr_decay", "seed", "checkpoint_every", learning_rate="lr", log_path="log"
         ),
     )
-    val_instances = _load_instances(config.val_dataset_path) if config.val_dataset_path else None
+    val_instances = _load_instances(args.val_dataset) if getattr(args, "val_dataset", None) else None
     _, history = train(config, traces, val_instances)
     last = history[-1]
     gap = "n/a" if last["val_gap"] is None else f"{last['val_gap']:.2f}%"

@@ -10,7 +10,6 @@ reconstructed by replay), so a large trace corpus stays small on disk.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,7 +18,7 @@ import numpy as np
 from .core import Instance, validate_permutation
 from .errors import DataError, ValidationError
 from .heuristics import neh
-from .instances import _header_size, _read_container
+from .instances import _header_size, _read_container, _write_container
 
 __all__ = [
     "ScheduleState",
@@ -107,8 +106,7 @@ def record_expert_traces(
     """
     traces = []
     for inst in instances:
-        result = expert(inst)
-        perm = result[0] if isinstance(result, tuple) else result
+        perm, _ = expert(inst)
         order = validate_permutation(perm, inst.n)
         traces.append(ExpertTrace(inst, tuple(int(a) for a in order)))
     return traces
@@ -123,10 +121,7 @@ def save_traces(path, traces: list[ExpertTrace]) -> None:
         "instances": [t.instance.name for t in traces],
         "lengths": [len(t.actions) for t in traces],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for t in traces:
-            fh.write(np.asarray(t.actions, dtype="<u4").tobytes())
+    _write_container(path, header, (np.asarray(t.actions, dtype="<u4").tobytes() for t in traces))
 
 
 def load_traces(path, instances: list[Instance]) -> list[ExpertTrace]:

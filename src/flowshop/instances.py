@@ -25,11 +25,8 @@ __all__ = [
     "generate",
     "parse_taillard",
     "parse_vrf",
-    "format_taillard",
-    "format_vrf",
     "save_dataset",
     "load_dataset",
-    "read_dataset_header",
     "taillard_instance",
     "TAILLARD_20_5_TIME_SEEDS",
 ]
@@ -185,32 +182,6 @@ def parse_vrf(text: str) -> list[Instance]:
     return [Instance(times, name="vrf-1")]
 
 
-def format_taillard(instances: list[Instance]) -> str:
-    """Render instances back into the machine-major benchmark layout."""
-    chunks = []
-    for inst in instances:
-        seed = inst.meta.get("time_seed", 0)
-        ub = inst.meta.get("upper_bound", 0)
-        lb = inst.meta.get("lower_bound", 0)
-        chunks.append("number of jobs, number of machines, initial seed, upper bound and lower bound :")
-        chunks.append(f"{inst.n:>12}{inst.m:>12}{seed:>12}{ub:>12}{lb:>12}")
-        chunks.append("processing times :")
-        for i in range(inst.m):
-            chunks.append(" ".join(f"{v:g}" for v in inst.times[i]))
-    return "\n".join(chunks) + "\n"
-
-
-def format_vrf(inst: Instance) -> str:
-    """Render one instance in the per-job pair layout."""
-    lines = [f"{inst.n}\t{inst.m}"]
-    for j in range(inst.n):
-        pairs = []
-        for i in range(inst.m):
-            pairs.append(f"{i}\t{inst.times[i, j]:g}")
-        lines.append("\t".join(pairs))
-    return "\n".join(lines) + "\n"
-
-
 # --- authentic benchmark regeneration --------------------------------------
 
 # Published per-instance time seeds for the 20-job 5-machine group.
@@ -259,26 +230,18 @@ def save_dataset(path, instances: list[Instance], spec: DatasetSpec | None = Non
         "spec": asdict(spec) if spec is not None else None,
         "instances": [{"name": inst.name, "m": inst.m, "n": inst.n} for inst in instances],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for inst in instances:
-            fh.write(np.ascontiguousarray(inst.times, dtype="<f8").tobytes())
+    _write_container(path, header, (np.ascontiguousarray(inst.times, dtype="<f8").tobytes() for inst in instances))
 
 
-def read_dataset_header(path) -> dict:
-    """The checked JSON header of a dataset file; malformed headers raise ``DataError``.
+def load_dataset(path) -> list[Instance]:
+    """Inverse of :func:`save_dataset`; exact to the bit.
 
-    Checks the format tag and version, that the header and each instance
-    entry are objects, and that ``count`` and every entry's ``m`` and
-    ``n`` are non-negative integers.
+    A malformed header raises ``DataError``: a wrong format tag or version,
+    a header or instance entry that is not an object, or a ``count`` or an
+    entry's ``m`` or ``n`` that is not a non-negative integer.
     """
-    return _read_dataset(path)[0]
-
-
-def _read_dataset(path) -> tuple[dict, bytes]:
-    """A dataset file's checked header and its body."""
     header, body = _read_container(path, _FORMAT, _VERSION, "dataset header")
-    _header_size(header.get("count"), "dataset header count")
+    count = _header_size(header.get("count"), "dataset header count")
     entries = header.get("instances", [])
     if not isinstance(entries, list):
         raise DataError("dataset header 'instances' must be a list")
@@ -287,7 +250,27 @@ def _read_dataset(path) -> tuple[dict, bytes]:
             raise DataError(f"dataset header instance {k} must be a JSON object")
         _header_size(entry.get("m"), f"dataset header instance {k} 'm'")
         _header_size(entry.get("n"), f"dataset header instance {k} 'n'")
-    return header, body
+    if len(entries) != count:
+        raise DataError("dataset header count disagrees with the instance list")
+    expected = sum(e["m"] * e["n"] for e in entries) * 8
+    if len(body) != expected:
+        raise DataError(f"dataset body has {len(body)} bytes, expected {expected}")
+    out = []
+    offset = 0
+    for e in entries:
+        size = e["m"] * e["n"] * 8
+        times = np.frombuffer(body[offset : offset + size], dtype="<f8").reshape(e["m"], e["n"])
+        offset += size
+        out.append(Instance(times, name=e.get("name", "")))
+    return out
+
+
+def _write_container(path, header: dict, blobs) -> None:
+    """Write a container file: ``header`` as one JSON line, then each bytes blob in order."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for blob in blobs:
+            fh.write(blob)
 
 
 def _read_container(path, fmt: str, version: int, what: str) -> tuple[dict, bytes]:
@@ -320,21 +303,3 @@ def _header_size(value, what: str) -> int:
         raise DataError(f"{what} must be a non-negative integer, got {value!r}")
     return value
 
-
-def load_dataset(path) -> list[Instance]:
-    """Inverse of :func:`save_dataset`; exact to the bit."""
-    header, body = _read_dataset(path)
-    entries = header.get("instances", [])
-    if len(entries) != header.get("count"):
-        raise DataError("dataset header count disagrees with the instance list")
-    expected = sum(e["m"] * e["n"] for e in entries) * 8
-    if len(body) != expected:
-        raise DataError(f"dataset body has {len(body)} bytes, expected {expected}")
-    out = []
-    offset = 0
-    for e in entries:
-        size = e["m"] * e["n"] * 8
-        times = np.frombuffer(body[offset : offset + size], dtype="<f8").reshape(e["m"], e["n"])
-        offset += size
-        out.append(Instance(times, name=e.get("name", "")))
-    return out

@@ -65,7 +65,6 @@ class PolicyConfig:
     neighbor_fraction: float = 0.2
     aggregation: str = "mean"
     normalization: str = "batch"
-    scale_features: bool = False
 
     def __post_init__(self):
         if self.machines < 1:
@@ -172,17 +171,13 @@ class JobGraph:
         return self.neighbors.shape[1]
 
 
-def build_graph(inst: Instance, rho: float = 0.2, scale: bool = False) -> JobGraph:
+def build_graph(inst: Instance, rho: float = 0.2) -> JobGraph:
     """k-NN graph on job feature columns, ties broken by lower job index."""
     if inst.n < 2:
         raise ValidationError("graphs need at least 2 jobs")
     if not 0 < rho <= 1:
         raise ValidationError("rho must be in (0, 1]")
-    feats = inst.times.T.astype(np.float64).copy()
-    if scale:
-        peak = feats.max()
-        if peak > 0:
-            feats /= peak
+    feats = inst.times.T.astype(np.float64, order="C")
     n = feats.shape[0]
     k = min(max(1, int(math.floor(rho * n))), n - 1)
     diff = feats[:, None, :] - feats[None, :, :]
@@ -203,13 +198,11 @@ class Activations:
     """
 
     graph: JobGraph
-    mode: str
     node_layers: list[np.ndarray]  # h^0 .. h^L, each (n, d)
     edge_layers: list[np.ndarray]  # e^0 .. e^(L-1), each (n, k, d)
     graph_embedding: np.ndarray  # (d,)
     placeholder_v1: np.ndarray | None = None  # first-decode placeholders
     placeholder_v2: np.ndarray | None = None
-    context: np.ndarray | None = None  # last built 3d context
     refined: np.ndarray | None = None  # last MHA output h_(c)
     logits: np.ndarray | None = None  # last masked logits (n,)
     probs: np.ndarray | None = None  # last probabilities (n,)
@@ -318,10 +311,6 @@ def _refine_and_logits(
 # --- public single-instance operations ---------------------------------------
 
 
-def _instance_graph(inst: Instance, config: PolicyConfig) -> JobGraph:
-    return build_graph(inst, rho=config.neighbor_fraction, scale=config.scale_features)
-
-
 def encode(params: PolicyParams, graph: JobGraph, mode: str = "eval") -> Activations:
     """Embed one job graph; per-layer activations are kept for inspection."""
     if mode not in ("train", "eval"):
@@ -340,7 +329,6 @@ def encode(params: PolicyParams, graph: JobGraph, mode: str = "eval") -> Activat
         )
     return Activations(
         graph=graph,
-        mode=mode,
         node_layers=[t.data[0] for t in node_layers],
         edge_layers=[t.data[0] for t in edge_layers],
         graph_embedding=h_graph.data[0],
@@ -362,9 +350,7 @@ def context(acts: Activations, state: ScheduleState) -> np.ndarray:
     else:
         first = h[state.scheduled[0]]
         prev = h[state.scheduled[-1]]
-    out = np.concatenate([acts.graph_embedding, first, prev])
-    acts.context = out
-    return out
+    return np.concatenate([acts.graph_embedding, first, prev])
 
 
 def decode_step(params: PolicyParams, acts: Activations, state: ScheduleState) -> np.ndarray:
@@ -395,8 +381,7 @@ def rollout_greedy(params: PolicyParams, inst: Instance) -> np.ndarray:
         raise ValidationError(f"instance {inst.name!r} has {inst.m} machines, model expects {params.config.machines}")
     if inst.n == 1:
         return np.zeros(1, dtype=np.int64)
-    graph = _instance_graph(inst, params.config)
-    acts = encode(params, graph, mode="eval")
+    acts = encode(params, build_graph(inst, params.config.neighbor_fraction), mode="eval")
     state = reset(inst)
     order = []
     for _ in range(inst.n):
@@ -433,15 +418,18 @@ class TraceBatch:
             inst = tr.instance
             if inst.m != config.machines:
                 raise ValidationError(
-                    f"trace instance has {inst.m} machines, model expects {config.machines}"
+                    f"trace instance {inst.name!r} has {inst.m} machines, model expects {config.machines}"
                 )
             if inst.n != n:
-                raise ValidationError("all traces in a batch must share the job count")
+                raise ValidationError(
+                    f"trace instance {inst.name!r} has {inst.n} jobs, the first has {n}:"
+                    " all traces in a batch must share the job count"
+                )
             try:
                 validate_permutation(np.array(tr.actions), n)
             except ValidationError as exc:
                 raise DataError(f"corrupt trace for {inst.name!r}: {exc}") from exc
-            graph = _instance_graph(inst, config)
+            graph = build_graph(inst, config.neighbor_fraction)
             feats.append(graph.features)
             nbrs.append(graph.neighbors)
             dists.append(graph.distances)

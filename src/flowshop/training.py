@@ -28,7 +28,7 @@ from .core import Instance, gap_percent, makespan
 from .env import ExpertTrace
 from .errors import DataError, ValidationError
 from .heuristics import neh
-from .instances import _header_size, _read_container
+from .instances import _header_size, _read_container, _write_container
 from .policy import PolicyConfig, PolicyParams, TraceBatch, bc_loss, rollout_greedy
 
 __all__ = [
@@ -42,14 +42,15 @@ __all__ = [
 
 _FORMAT = "flowshop-checkpoint"
 _VERSION = 1
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization schedule plus the architecture to train.
 
-    The *_path fields record where the run's data came from (the CLI
-    fills them); train() itself consumes already-loaded traces.
+    train() consumes already-loaded traces; the only paths here are the
+    outputs it writes (checkpoints and the JSONL log).
     """
 
     policy: PolicyConfig
@@ -61,9 +62,6 @@ class TrainConfig:
     checkpoint_path: str | None = None
     checkpoint_every: int = 0  # epochs between intermediate checkpoints, 0 = final only
     log_path: str | None = None
-    traces_path: str | None = None
-    dataset_path: str | None = None
-    val_dataset_path: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -79,18 +77,17 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment optimizer with the standard defaults."""
+    """Adaptive-moment optimizer with the standard constants (beta1 0.9, beta2 0.999, eps 1e-8)."""
 
-    def __init__(self, tensors: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, tensors: dict[str, Tensor]):
         self.tensors = tensors
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.steps = 0
         self._m = {k: np.zeros_like(t.data) for k, t in tensors.items()}
         self._v = {k: np.zeros_like(t.data) for k, t in tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.steps += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         correction1 = 1.0 - b1**self.steps
         correction2 = 1.0 - b2**self.steps
         for name, g in grads.items():
@@ -100,7 +97,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+            update = (m / correction1) / (np.sqrt(v / correction2) + _EPS)
             self.tensors[name].data -= lr * update
 
 
@@ -112,19 +109,17 @@ def train(
 ) -> tuple[PolicyParams, list[dict]]:
     """Clone the expert from traces; returns trained params and epoch history.
 
-    Deterministic for a fixed seed: initialization and batch shuffling
-    draw from one PCG64 stream. When a validation set is given (optionally
-    with precomputed expert makespans), each epoch records the greedy
-    rollout gap; history rows mirror the JSONL training log.
+    Every trace must have the model's machine count and the first trace's
+    job count, else ``ValidationError``. Deterministic for a fixed seed:
+    initialization and batch shuffling draw from one PCG64 stream. When a
+    validation set is given (optionally with precomputed expert makespans),
+    each epoch records the greedy rollout gap; history rows mirror the
+    JSONL training log.
     """
     if not traces:
         raise ValidationError("cannot train on an empty trace set")
-    for tr in traces:
-        if tr.instance.m != config.policy.machines:
-            raise ValidationError(
-                f"trace instance {tr.instance.name!r} has {tr.instance.m} machines, "
-                f"config expects {config.policy.machines}"
-            )
+    # graphs never change, so the whole corpus is assembled once
+    corpus = TraceBatch.from_traces(traces, config.policy)
     if val_instances and expert_makespans is None:
         expert_makespans = np.array([neh(inst)[1] for inst in val_instances])
 
@@ -134,28 +129,22 @@ def train(
         tensor.data = tensor.data.astype(np.float32)
     optimizer = Adam(params.tensors)
 
-    # graphs never change, so batch assembly is done once per trace
-    prepared = [TraceBatch.from_traces([tr], config.policy) for tr in traces]
-
-    def stack(batch_members: list[TraceBatch]) -> TraceBatch:
-        return TraceBatch(
-            features=np.concatenate([b.features for b in batch_members]),
-            neighbors=np.concatenate([b.neighbors for b in batch_members]),
-            distances=np.concatenate([b.distances for b in batch_members]),
-            actions=np.concatenate([b.actions for b in batch_members]),
-        )
-
     log_fh = open(config.log_path, "w", encoding="utf-8") if config.log_path else None
     history: list[dict] = []
     started = time.perf_counter()
     try:
         for epoch in range(config.epochs):
             lr = config.learning_rate * config.lr_decay**epoch
-            order = rng.permutation(len(prepared))
+            order = rng.permutation(corpus.size)
             total, seen = 0.0, 0
             for lo in range(0, len(order), config.batch_size):
-                members = [prepared[i] for i in order[lo : lo + config.batch_size]]
-                batch = stack(members)
+                rows = order[lo : lo + config.batch_size]
+                batch = TraceBatch(
+                    features=corpus.features[rows],
+                    neighbors=corpus.neighbors[rows],
+                    distances=corpus.distances[rows],
+                    actions=corpus.actions[rows],
+                )
                 loss, grads = bc_loss(params, batch, mode="train")
                 optimizer.step(grads, lr)
                 total += loss * batch.size
@@ -241,10 +230,7 @@ def save_checkpoint(path, params: PolicyParams, epoch: int | None = None, metric
         "metrics": metrics,
         "tensors": entries,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(manifest).encode("utf-8") + b"\n")
-        for raw in blobs:
-            fh.write(raw)
+    _write_container(path, manifest, blobs)
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
@@ -302,10 +288,15 @@ def _checkpoint_config(policy, body_bytes: int) -> PolicyConfig:
 
     Every architecture stores w_h (d, m), mha_wq (d, 3d) and five (d, d)
     weights per layer, so a body too short for them is rejected before
-    ``PolicyParams.init`` would allocate a corrupt header's sizes.
+    ``PolicyParams.init`` would allocate a corrupt header's sizes. Older
+    checkpoints record ``"scale_features": false``, which is dropped; a
+    true value is rejected, since features are no longer scaled.
     """
     if not isinstance(policy, dict):
         raise DataError("checkpoint manifest 'policy' must be a JSON object")
+    policy = dict(policy)
+    if policy.pop("scale_features", False) is not False:
+        raise DataError("checkpoint policy scales its features, which this version does not support")
     try:
         config = PolicyConfig(**policy)
     except (TypeError, ValidationError) as exc:

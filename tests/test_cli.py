@@ -12,7 +12,7 @@ import pytest
 from flowshop.cli import build_parser, main
 from flowshop.env import record_expert_traces, save_traces
 from flowshop.harness import report_from_json
-from flowshop.instances import load_dataset
+from flowshop.instances import DatasetSpec, generate, load_dataset, save_dataset
 from flowshop.policy import PolicyConfig, PolicyParams
 from flowshop.training import load_checkpoint, save_checkpoint
 
@@ -140,6 +140,18 @@ class TestTrainEvalSweep:
         assert rc == 0
         report = report_from_json(sweep_out.read_text())
         assert all(row.mean_gap_pct == 0.0 for row in report.rows)  # sigma=0 exact tie
+
+    def test_train_on_mixed_job_counts_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "mixed.fsd"
+        mixed = [inst for jobs in (6, 7) for inst in generate(DatasetSpec(count=2, jobs=jobs, machines=3, seed=5))]
+        save_dataset(ds, mixed)
+        rc = run(["train", "--dataset", str(ds), "--epochs", "1", "--hidden-dim", "8", "--layers", "1",
+                  "--heads", "2", "--out", str(tmp_path / "model.fsc")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "job count" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.fsc").exists()
 
 
 class TestExportAndExact:

@@ -10,13 +10,10 @@ from flowshop.errors import DataError, ValidationError
 from flowshop.instances import (
     TAILLARD_20_5_TIME_SEEDS,
     DatasetSpec,
-    format_taillard,
-    format_vrf,
     generate,
     load_dataset,
     parse_taillard,
     parse_vrf,
-    read_dataset_header,
     save_dataset,
     taillard_instance,
 )
@@ -116,13 +113,25 @@ class TestTaillardParsing:
             parse_taillard("2 2\n1 2 3\n4 5\n")
 
     def test_multi_instance_file(self):
-        one = taillard_instance(4, 2, 12345)
-        two = taillard_instance(4, 2, 99999)
-        text = format_taillard([one, two])
+        text = (
+            "number of jobs, number of machines, initial seed, upper bound and lower bound :\n"
+            "           4           2       12345          30          21\n"
+            "processing times :\n"
+            " 5 1 7 3\n"
+            " 2 9 4 8\n"
+            "\n"
+            "number of jobs, number of machines, initial seed, upper bound and lower bound :\n"
+            "           4           2       99999\n"
+            "processing times :\n"
+            "10 20 30 40\n"
+            "50 60 70 80\n"
+        )
         insts = parse_taillard(text)
         assert len(insts) == 2
-        assert np.array_equal(insts[0].times, one.times)
-        assert np.array_equal(insts[1].times, two.times)
+        assert np.array_equal(insts[0].times, [[5, 1, 7, 3], [2, 9, 4, 8]])
+        assert np.array_equal(insts[1].times, [[10, 20, 30, 40], [50, 60, 70, 80]])
+        assert insts[0].meta == {"time_seed": 12345, "upper_bound": 30, "lower_bound": 21}
+        assert insts[1].meta == {"time_seed": 99999}
 
 
 class TestVrfParsing:
@@ -148,13 +157,11 @@ class TestVrfParsing:
         with pytest.raises(DataError, match="job row"):
             parse_vrf("3 2\n0 10 1 20\n")
 
-    def test_format_round_trip(self, rng):
-        times = rng.integers(1, 100, size=(3, 6)).astype(float)
-        from flowshop.core import Instance
-
-        inst = Instance(times)
-        back = parse_vrf(format_vrf(inst))[0]
-        assert np.array_equal(back.times, times)
+    def test_format_round_trip(self):
+        # the published files' layout: tab-separated, one job per line, blank lines allowed
+        text = "3\t2\n0\t5\t1\t7\n\n0\t1.5\t1\t2\n0\t9\t1\t3\n"
+        inst = parse_vrf(text)[0]
+        assert np.array_equal(inst.times, [[5.0, 1.5, 9.0], [7.0, 2.0, 3.0]])
 
 
 def _drop_n(header):
@@ -201,7 +208,7 @@ class TestContainer:
         path = tmp_path / "data.fsd"
         spec = DatasetSpec(count=1, jobs=3, machines=2, seed=0)
         save_dataset(path, generate(spec), spec)
-        header = read_dataset_header(path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header["generator"] == "pcg64"
         assert header["spec"]["seed"] == 0
 
@@ -225,8 +232,6 @@ class TestContainer:
         path = tmp_path / "data.fsd"
         save_dataset(path, generate(DatasetSpec(count=2, jobs=3, machines=2, seed=0)))
         rewrite_dataset_header(path, corrupt)
-        with pytest.raises(DataError, match="header"):
-            read_dataset_header(path)
         with pytest.raises(DataError, match="header"):
             load_dataset(path)
 

@@ -77,6 +77,13 @@ class TestTrain:
         with pytest.raises(ValidationError, match="machines"):
             train(tiny_train_config(), traces)
 
+    def test_mixed_job_counts_rejected(self, tmp_path):
+        traces = make_traces(count=3, jobs=6) + make_traces(count=3, jobs=7)
+        log = tmp_path / "train.jsonl"
+        with pytest.raises(ValidationError, match="job count"):
+            train(tiny_train_config(log_path=str(log)), traces)
+        assert not log.exists()  # rejected before any epoch runs
+
     def test_loss_decreases_on_single_batch(self):
         traces = make_traces(count=4)
         config = tiny_train_config(epochs=3, batch_size=4, learning_rate=1e-2)
@@ -187,6 +194,24 @@ class TestCheckpoint:
         save_checkpoint(path, PolicyParams.init(TINY_POLICY))
         rewrite_checkpoint_manifest(path, lambda m: m["policy"].update(hidden_dim=2**20))
         with pytest.raises(DataError, match="architecture"):
+            load_checkpoint(path)
+
+    def test_manifest_with_scale_features_false_loads(self, tmp_path):
+        # checkpoints from before scale_features was removed record it as false
+        params = PolicyParams.init(TINY_POLICY, seed=6)
+        path = tmp_path / "model.fsc"
+        save_checkpoint(path, params)
+        rewrite_checkpoint_manifest(path, lambda m: m["policy"].update(scale_features=False))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == TINY_POLICY
+        for name, t in params.tensors.items():
+            assert np.array_equal(loaded.tensors[name].data, t.data.astype(np.float32))
+
+    def test_manifest_with_scale_features_true_rejected(self, tmp_path):
+        path = tmp_path / "model.fsc"
+        save_checkpoint(path, PolicyParams.init(TINY_POLICY))
+        rewrite_checkpoint_manifest(path, lambda m: m["policy"].update(scale_features=True))
+        with pytest.raises(DataError, match="scales its features"):
             load_checkpoint(path)
 
     def test_truncated_blob_rejected(self, tmp_path):
