@@ -15,7 +15,7 @@ its ``grad`` uncopied.
 
 The op set is deliberately small: elementwise + - * / and sqrt, matmul
 with numpy broadcasting, relu/sigmoid/tanh, sum/mean/max reductions, stable
-(log-)softmax that tolerates -inf masking, gather/scatter along an axis,
+(log-)softmax that tolerates -inf masking, a row gather (``gather_rows``),
 concat, reshape/transpose/broadcast_to, where, and three fused nodes of the
 gated graph layer: batch/layer ``normalize``, the ``gated_message`` and the
 ``edge_preactivation``. The policy network needs all of them except binary
@@ -79,13 +79,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = _sum(grad, axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def _scatter_add(target: np.ndarray, idx: np.ndarray, src: np.ndarray, axis: int) -> None:
-    """Accumulating inverse of np.take_along_axis."""
-    grids = list(np.indices(idx.shape, sparse=False))
-    grids[axis] = idx
-    np.add.at(target, tuple(grids), src)
 
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
@@ -367,7 +360,7 @@ class Tensor:
         def backward(g):
             gg = g if keepdims else np.expand_dims(g, axis)
             ga = np.zeros_like(a.data)
-            _scatter_add(ga, np.expand_dims(am, axis), gg, axis)
+            np.put_along_axis(ga, np.expand_dims(am, axis), gg, axis=axis)
             a._accumulate(ga, owned=True)
 
         return Tensor._make(out_data, (a,), backward)
@@ -425,18 +418,6 @@ class Tensor:
             a._accumulate(g.transpose(inverse), owned=True)
 
         return Tensor._make(a.data.transpose(axes), (a,), backward)
-
-    def gather(self, idx: np.ndarray, axis: int):
-        """np.take_along_axis with a scatter-add backward (duplicates allowed)."""
-        a = self
-        idx = np.asarray(idx, dtype=np.int64)
-
-        def backward(g):
-            ga = np.zeros_like(a.data)
-            _scatter_add(ga, idx, g, axis)
-            a._accumulate(ga, owned=True)
-
-        return Tensor._make(np.take_along_axis(a.data, idx, axis=axis), (a,), backward)
 
     def broadcast_to(self, shape):
         a = self

@@ -149,6 +149,8 @@ def _cmd_solve(args) -> int:
 def _cmd_train(args) -> int:
     _require(args, "dataset", "out")
     instances = _load_instances(args.dataset)
+    if not instances:
+        raise DataError("empty dataset")
     if getattr(args, "traces", None):
         from .env import load_traces
 

@@ -1,16 +1,16 @@
 """Sequential job-selection MDP and expert-trace recording.
 
 An episode schedules the n jobs one at a time: the state is the ordered
-list of already scheduled jobs plus the set of still unscheduled ones,
-an action picks an unscheduled job, and masking forbids re-selection.
-There is no reward signal; makespans are computed after the fact by the
-core module. Expert traces store only the action sequence (states are
-reconstructed by replay), so a large trace corpus stays small on disk.
+list of already scheduled jobs, an action picks an unscheduled job, and
+masking forbids re-selection. There is no reward signal; makespans are
+computed after the fact by the core module. Expert traces store only the
+action sequence (states are reconstructed by replay), so a large trace
+corpus stays small on disk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,11 +37,10 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class ScheduleState:
-    """Immutable snapshot: scheduled prefix, unscheduled set, step counter."""
+    """Immutable snapshot: the scheduled prefix; everything else derives from it."""
 
     instance: Instance
     scheduled: tuple[int, ...] = ()
-    unscheduled: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def t(self) -> int:
@@ -49,12 +48,16 @@ class ScheduleState:
 
     @property
     def done(self) -> bool:
-        return not self.unscheduled
+        return self.t == self.instance.n
+
+    @property
+    def unscheduled(self) -> frozenset[int]:
+        return frozenset(range(self.instance.n)).difference(self.scheduled)
 
 
 def reset(inst: Instance) -> ScheduleState:
     """Initial state: nothing scheduled, every job available."""
-    return ScheduleState(inst, (), frozenset(range(inst.n)))
+    return ScheduleState(inst)
 
 
 def step(state: ScheduleState, action: int) -> ScheduleState:
@@ -62,20 +65,15 @@ def step(state: ScheduleState, action: int) -> ScheduleState:
     action = int(action)
     if action < 0 or action >= state.instance.n:
         raise ValidationError(f"action {action} out of range [0, {state.instance.n})")
-    if action not in state.unscheduled:
+    if action in state.scheduled:
         raise ValidationError(f"masked-action violation: job {action} is already scheduled")
-    return ScheduleState(
-        state.instance,
-        state.scheduled + (action,),
-        state.unscheduled - {action},
-    )
+    return ScheduleState(state.instance, state.scheduled + (action,))
 
 
 def mask(state: ScheduleState) -> np.ndarray:
     """Boolean availability vector: true exactly on the unscheduled jobs."""
-    out = np.zeros(state.instance.n, dtype=bool)
-    for j in state.unscheduled:
-        out[j] = True
+    out = np.ones(state.instance.n, dtype=bool)
+    out[list(state.scheduled)] = False
     return out
 
 

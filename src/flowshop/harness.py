@@ -59,23 +59,18 @@ __all__ = [
 # NEH <= IG <= ILS <= RS emerges on generated Gamma data at n=20, m=5:
 # the insertion descent is strong enough that untruncated ILS/IG overtake
 # NEH, so their inner descents are budget-capped by default. This table is
-# the only source of defaults: the solver adapters read its keys without
-# fallbacks, and every caller passes parameters merged from it.
+# the only source of defaults and names every key a method reads: a
+# max_time of None sets no time limit, and an IG acceptance temperature of
+# None resolves per instance in IgParams. The solver adapters read its keys
+# without fallbacks, and every caller passes parameters merged from it.
 DEFAULT_METHOD_PARAMS: dict[str, dict] = {
-    "rs": {"iterations": 100},
-    "ils": {"iterations": 3, "inner_iterations": 10, "perturbation_strength": 2},
-    "ig": {"iterations": 5, "inner_iterations": 10, "d_jobs": 4, "init": "random"},
+    "rs": {"iterations": 100, "max_time": None},
+    "ils": {"iterations": 3, "max_time": None, "inner_iterations": 10, "perturbation_strength": 2},
+    "ig": {"iterations": 5, "max_time": None, "inner_iterations": 10, "d_jobs": 4, "init": "random",
+           "acceptance_temperature": None},
     "neh": {},
 }
-# The keys the adapters read without a default: an absent max_time means no
-# time limit, and an absent IG acceptance temperature resolves per instance in
-# IgParams. With the keys above they are all that a method's params may name.
-_OPTIONAL_METHOD_PARAMS: dict[str, set] = {
-    "rs": {"max_time"},
-    "ils": {"max_time"},
-    "ig": {"max_time", "acceptance_temperature"},
-    "neh": set(),
-}
+HEURISTIC_METHODS = tuple(DEFAULT_METHOD_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ def _trial_seed(base: int, trial: int, index: int) -> int:
 
 def _budget(params: dict, seed: int) -> HeuristicBudget:
     return HeuristicBudget(
-        max_iterations=params.get("iterations"), max_time=params.get("max_time"), rng_seed=seed
+        max_iterations=params["iterations"], max_time=params["max_time"], rng_seed=seed
     )
 
 
@@ -162,16 +157,16 @@ def _rs(inst: Instance, seed: int, params: dict):
 
 def _ils(inst: Instance, seed: int, params: dict):
     budget = _budget(params, seed)
-    return iterated_local_search(inst, budget, params["perturbation_strength"], params.get("inner_iterations"))
+    return iterated_local_search(inst, budget, params["perturbation_strength"], params["inner_iterations"])
 
 
 def _ig(inst: Instance, seed: int, params: dict):
     ig = IgParams(
         d_jobs=params["d_jobs"],
-        acceptance_temperature=params.get("acceptance_temperature"),
+        acceptance_temperature=params["acceptance_temperature"],
         budget=_budget(params, seed),
         init=params["init"],
-        inner_iterations=params.get("inner_iterations"),
+        inner_iterations=params["inner_iterations"],
     )
     return iterated_greedy(inst, ig)
 
@@ -182,7 +177,6 @@ def _policy(inst: Instance, seed: int, params: dict):
 
 
 _SOLVERS = {"rs": _rs, "ils": _ils, "ig": _ig, "neh": _neh, "policy": _policy}
-HEURISTIC_METHODS = ("rs", "ils", "ig", "neh")
 
 
 def _method_makespans(
@@ -259,8 +253,8 @@ def solve_dataset(instances: list[Instance], config: ExperimentConfig) -> Report
             raise ValidationError(f"method_params names unknown method {name!r}")
         if not isinstance(params, dict):
             raise ValidationError(f"method_params for {name!r} must be an object, not {params!r}")
-        readable = DEFAULT_METHOD_PARAMS[name].keys() | _OPTIONAL_METHOD_PARAMS[name]
-        unknown = sorted(params.keys() - readable)
+        readable = DEFAULT_METHOD_PARAMS[name]
+        unknown = sorted(params.keys() - readable.keys())
         if unknown:
             raise ValidationError(f"method_params for {name!r}: unknown keys {unknown}; it reads {sorted(readable)}")
 

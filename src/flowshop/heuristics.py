@@ -128,6 +128,23 @@ def _best_position(ms: np.ndarray, latest: bool) -> int:
     return int(tied.argmax())
 
 
+def _insert_best(times: np.ndarray, seq: list[int], job: int, latest: bool) -> float:
+    """Insert ``job`` into ``seq`` in place at its best position; returns the scan's makespan."""
+    ms = insertion_makespans(times, seq, job)
+    pos = _best_position(ms, latest)
+    seq.insert(pos, job)
+    return float(ms[pos])
+
+
+def _limits(budget: HeuristicBudget | None) -> tuple[float, float]:
+    """(iterations, deadline) of ``budget``, started now; ``math.inf`` where it sets no limit."""
+    if budget is None:
+        return math.inf, math.inf
+    iterations = math.inf if budget.max_iterations is None else budget.max_iterations
+    deadline = math.inf if budget.max_time is None else time.perf_counter() + budget.max_time
+    return iterations, deadline
+
+
 def neh(inst: Instance) -> tuple[np.ndarray, float]:
     """NEH: sort jobs by nonincreasing total time, insert each at the best position.
 
@@ -146,36 +163,29 @@ def neh(inst: Instance) -> tuple[np.ndarray, float]:
     seq: list[int] = [int(order[0])]
     best = float(inst.times[:, order[0]].sum())
     for job in order[1:]:
-        ms = insertion_makespans(inst.times, seq, int(job))
-        pos = _best_position(ms, latest=True)
-        seq.insert(pos, int(job))
-        best = float(ms[pos])
+        best = _insert_best(inst.times, seq, int(job), latest=True)
     return np.array(seq, dtype=np.int64), best
 
 
 def random_search(inst: Instance, budget: HeuristicBudget) -> tuple[np.ndarray, float]:
     """Best of uniformly sampled permutations within the budget."""
-    if budget.max_iterations is not None and budget.max_iterations < 1:
+    remaining, deadline = _limits(budget)
+    if remaining < 1:
         raise ValidationError("random search needs at least one sample")
     rng = np.random.Generator(np.random.PCG64(budget.rng_seed))
-    deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
-    remaining = budget.max_iterations if budget.max_iterations is not None else None
 
     best_perm: np.ndarray | None = None
     best = math.inf
     while True:
-        block = 1024 if remaining is None else min(1024, remaining)
+        block = int(min(1024, remaining))
         perms = np.argsort(rng.random((block, inst.n)), axis=1)
         values = makespan_batch(inst, perms)
         k = int(np.argmin(values))
         if values[k] < best:
             best = float(values[k])
             best_perm = perms[k].copy()
-        if remaining is not None:
-            remaining -= block
-            if remaining <= 0:
-                break
-        if deadline is not None and time.perf_counter() >= deadline:
+        remaining -= block
+        if remaining <= 0 or time.perf_counter() >= deadline:
             break
     return best_perm, best
 
@@ -195,33 +205,21 @@ def local_search_insert(
     """
     seq = validate_permutation(start, inst.n).tolist()
     cur = makespan(inst, seq)
-    if inst.n < 2:
-        return np.array(seq, dtype=np.int64), cur
-
-    deadline = None
-    steps_left = None
-    if budget is not None:
-        deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
-        steps_left = budget.max_iterations
-
-    improved = True
+    steps_left, deadline = _limits(budget)
+    improved = inst.n >= 2
     while improved:
         improved = False
         for idx in range(inst.n):
-            if steps_left is not None:
-                if steps_left <= 0:
-                    return np.array(seq, dtype=np.int64), cur
-                steps_left -= 1
+            if steps_left <= 0:
+                break
+            steps_left -= 1
             job = seq[idx]
             rest = seq[:idx] + seq[idx + 1 :]
-            ms = insertion_makespans(inst.times, rest, job)
-            pos = _best_position(ms, latest=False)
-            if ms[pos] < cur - _EPS:
-                seq = rest[:pos] + [job] + rest[pos:]
-                cur = float(ms[pos])
-                improved = True
-            if deadline is not None and time.perf_counter() >= deadline:
-                return np.array(seq, dtype=np.int64), cur
+            value = _insert_best(inst.times, rest, job, latest=False)
+            if value < cur - _EPS:
+                seq, cur, improved = rest, value, True
+            if time.perf_counter() >= deadline:
+                steps_left = 0  # out of time ends the descent like out of steps
     return np.array(seq, dtype=np.int64), cur
 
 
@@ -242,14 +240,13 @@ def iterated_local_search(
     if not (_is_number(perturbation_strength, numbers.Integral) and perturbation_strength >= 1):
         raise ValidationError(f"perturbation_strength must be an integer >= 1, not {perturbation_strength!r}")
     rng = np.random.Generator(np.random.PCG64(budget.rng_seed))
-    deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
+    iterations, deadline = _limits(budget)
     inner = None if inner_iterations is None else HeuristicBudget(max_iterations=inner_iterations)
 
     start = rng.permutation(inst.n)
     best_perm, best = local_search_insert(inst, start, inner)
-    iterations = budget.max_iterations
     it = 0
-    while iterations is None or it < iterations:
+    while it < iterations:
         it += 1
         cand = best_perm.copy()
         for _ in range(perturbation_strength):
@@ -258,7 +255,7 @@ def iterated_local_search(
         cand_perm, cand_val = local_search_insert(inst, cand, inner)
         if cand_val < best - _EPS:
             best_perm, best = cand_perm, cand_val
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             break
     return best_perm, best
 
@@ -276,12 +273,8 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
         raise ValidationError(f"d_jobs={params.d_jobs} must be < n={inst.n}")
     budget = params.budget
     rng = np.random.Generator(np.random.PCG64(budget.rng_seed))
-    deadline = None if budget.max_time is None else time.perf_counter() + budget.max_time
-    inner = (
-        None
-        if params.inner_iterations is None
-        else HeuristicBudget(max_iterations=params.inner_iterations)
-    )
+    iterations, deadline = _limits(budget)
+    inner = None if params.inner_iterations is None else HeuristicBudget(max_iterations=params.inner_iterations)
     temperature = params.acceptance_temperature
     if temperature is None:
         temperature = float(inst.times.mean()) / 10.0
@@ -294,25 +287,20 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
         cur = makespan(inst, cur_perm)
     best_perm, best = np.array(cur_perm, dtype=np.int64), cur
 
-    iterations = budget.max_iterations
     it = 0
-    while iterations is None or it < iterations:
+    while it < iterations:
         it += 1
         removed_idx = rng.choice(inst.n, size=params.d_jobs, replace=False)
         removed_jobs = [cur_perm[i] for i in sorted(removed_idx)]
         removed = set(removed_idx)
         partial = [j for i, j in enumerate(cur_perm) if i not in removed]
         for job in removed_jobs:
-            ms = insertion_makespans(inst.times, partial, job)
-            pos = _best_position(ms, latest=False)
-            partial.insert(pos, job)
+            _insert_best(inst.times, partial, job, latest=False)
         cand_perm, cand_val = local_search_insert(inst, partial, inner)
-        if cand_val < cur - _EPS:
-            cur_perm, cur = cand_perm.tolist(), cand_val
-        elif temperature > 0 and rng.random() < math.exp(-(cand_val - cur) / temperature):
+        if cand_val < cur - _EPS or (temperature > 0 and rng.random() < math.exp(-(cand_val - cur) / temperature)):
             cur_perm, cur = cand_perm.tolist(), cand_val
         if cur < best - _EPS:
             best_perm, best = np.array(cur_perm, dtype=np.int64), cur
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             break
     return best_perm, best

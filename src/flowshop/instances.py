@@ -92,6 +92,17 @@ def _numbers(line: str) -> list[float] | None:
         return None
 
 
+def _header(lines: list[str], pos: int) -> list[int]:
+    """The whole-number fields of the "jobs machines ..." header at ``lines[pos]``; jobs and machines >= 1."""
+    fields = _numbers(lines[pos])
+    if fields is None or len(fields) < 2 or not all(v.is_integer() for v in fields):
+        raise DataError(f"line {pos + 1}: malformed header {lines[pos]!r}")
+    fields = [int(v) for v in fields]
+    if fields[0] < 1 or fields[1] < 1:
+        raise DataError(f"line {pos + 1}: non-positive job/machine count")
+    return fields
+
+
 def parse_taillard(text: str) -> list[Instance]:
     """Parse concatenated instances in the classic machine-major layout.
 
@@ -117,17 +128,13 @@ def parse_taillard(text: str) -> list[Instance]:
             pos = skip_blank(pos + 1)
         if pos >= len(lines):
             raise DataError(f"line {len(lines)}: expected a 'jobs machines' header, got end of file")
-        header = _numbers(lines[pos])
-        if header is None or len(header) < 2:
-            raise DataError(f"line {pos + 1}: malformed header {lines[pos]!r}")
-        n, m = int(header[0]), int(header[1])
-        if n < 1 or m < 1:
-            raise DataError(f"line {pos + 1}: non-positive job/machine count")
+        header = _header(lines, pos)
+        n, m = header[:2]
         meta = {}
         if len(header) >= 3:
-            meta["time_seed"] = int(header[2])
+            meta["time_seed"] = header[2]
         if len(header) >= 5:
-            meta["upper_bound"], meta["lower_bound"] = int(header[3]), int(header[4])
+            meta["upper_bound"], meta["lower_bound"] = header[3:5]
         pos = skip_blank(pos + 1)
         if pos < len(lines) and _numbers(lines[pos]) is None:  # "processing times :" line
             pos = skip_blank(pos + 1)
@@ -153,12 +160,7 @@ def parse_vrf(text: str) -> list[Instance]:
         pos += 1
     if pos >= len(lines):
         raise DataError("empty file")
-    header = _numbers(lines[pos])
-    if header is None or len(header) < 2:
-        raise DataError(f"line {pos + 1}: malformed header {lines[pos]!r}")
-    n, m = int(header[0]), int(header[1])
-    if n < 1 or m < 1:
-        raise DataError(f"line {pos + 1}: non-positive job/machine count")
+    n, m = _header(lines, pos)[:2]
     times = np.zeros((m, n))
     row = 0
     pos += 1
@@ -173,9 +175,8 @@ def parse_vrf(text: str) -> list[Instance]:
             got = 0 if toks is None else len(toks)
             raise DataError(f"line {pos + 1}: job row {row + 1} has {got} fields, expected {2 * m}")
         for q in range(m):
-            machine = int(toks[2 * q])
-            if machine != q:
-                raise DataError(f"line {pos + 1}: machine index {machine} at pair {q}, expected {q}")
+            if toks[2 * q] != q:
+                raise DataError(f"line {pos + 1}: machine index {toks[2 * q]:g} at pair {q}, expected {q}")
             times[q, row] = toks[2 * q + 1]
         row += 1
         pos += 1

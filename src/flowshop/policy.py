@@ -383,13 +383,9 @@ def rollout_greedy(params: PolicyParams, inst: Instance) -> np.ndarray:
         return np.zeros(1, dtype=np.int64)
     acts = encode(params, build_graph(inst, params.config.neighbor_fraction), mode="eval")
     state = reset(inst)
-    order = []
-    for _ in range(inst.n):
-        probs = decode_step(params, acts, state)
-        action = int(np.argmax(probs))
-        order.append(action)
-        state = step(state, action)
-    return np.array(order, dtype=np.int64)
+    while not state.done:
+        state = step(state, int(np.argmax(decode_step(params, acts, state))))
+    return np.array(state.scheduled, dtype=np.int64)
 
 
 # --- behavior cloning ---------------------------------------------------------
@@ -468,7 +464,7 @@ def _teacher_forced_logprobs(params: PolicyParams, batch: TraceBatch, mode: str)
 
     _, logits = _refine_and_logits(params, h_nodes, ctx, avail)
     log_probs = logits.log_softmax(axis=-1)
-    return log_probs.gather(tau[:, :, None], axis=2).reshape(b, n)
+    return ag.gather_rows(log_probs.reshape(b * n, n, 1), tau.reshape(-1, 1)).reshape(b, n)
 
 
 def bc_loss(params: PolicyParams, batch: TraceBatch, mode: str = "train") -> tuple[float, dict[str, np.ndarray]]:

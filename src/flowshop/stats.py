@@ -23,21 +23,6 @@ class WilcoxonResult:
     significant: bool  # two-sided at the 5% level
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test via the normal approximation.
 
@@ -56,12 +41,15 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> WilcoxonResult:
         raise ValidationError(
             f"need at least {MIN_NONZERO_PAIRS} nonzero pairs, got {n}"
         )
-    ranks = _average_ranks(np.abs(diff))
+    # one tie group per distinct |difference|: its members share the mean of
+    # the ranks they span, and its size t enters the variance correction
+    _, group, counts = np.unique(np.abs(diff), return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2.0)[group]
     w_plus = float(ranks[diff > 0].sum())
 
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
-    _, counts = np.unique(np.abs(diff), return_counts=True)
     variance -= float(((counts**3 - counts).sum())) / 48.0
     z = (w_plus - mean) / math.sqrt(variance)
     p = math.erfc(abs(z) / math.sqrt(2.0))

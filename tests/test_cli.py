@@ -153,6 +153,16 @@ class TestTrainEvalSweep:
         assert "Traceback" not in err
         assert not (tmp_path / "model.fsc").exists()
 
+    def test_train_on_empty_dataset_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "empty.fsd"
+        save_dataset(ds, [])
+        rc = run(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "model.fsc")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error: empty dataset" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "model.fsc").exists()
+
 
 class TestExportAndExact:
     def test_export_csv(self, dataset, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from flowshop.core import Instance
 from flowshop.env import (
     ExpertTrace,
+    ScheduleState,
     load_traces,
     mask,
     record_expert_traces,
@@ -47,6 +48,13 @@ class TestResetStepMask:
         assert state.t == 0
         assert state.scheduled == ()
         assert state.unscheduled == frozenset(range(4))
+        assert mask(state).all()
+
+    def test_default_state_is_initial(self, rng):
+        inst = random_instance(rng, n=4, m=2)
+        state = ScheduleState(inst)
+        assert state == reset(inst)
+        assert not state.done
         assert mask(state).all()
 
     def test_reset_single_job(self):

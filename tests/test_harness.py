@@ -13,7 +13,6 @@ from flowshop.core import Instance, gap_percent
 from flowshop.errors import DataError, ValidationError
 from flowshop.harness import (
     DEFAULT_METHOD_PARAMS,
-    _OPTIONAL_METHOD_PARAMS,
     ExperimentConfig,
     Report,
     ReportRow,
@@ -224,20 +223,18 @@ class _ReadLog(dict):
 class TestDefaultMethodParams:
     @pytest.mark.parametrize("method", ["ils", "ig"])
     def test_every_key_read_has_a_default(self, method):
-        # absent max_time means no time limit, and an absent IG acceptance
-        # temperature resolves per instance in IgParams: neither needs a default
+        # a None max_time (no time limit) and a None IG acceptance temperature
+        # (resolved per instance in IgParams) are defaults like any other
         params = _ReadLog(DEFAULT_METHOD_PARAMS[method])
         _SOLVERS[method](small_dataset(count=1)[0], 0, params)
-        optional = {"max_time", "acceptance_temperature"}
-        assert params.read - optional <= set(DEFAULT_METHOD_PARAMS[method])
-        assert params.read >= set(DEFAULT_METHOD_PARAMS[method])
+        assert params.read <= set(DEFAULT_METHOD_PARAMS[method])
 
     @pytest.mark.parametrize("method", ["rs", "ils", "ig", "neh"])
     def test_readable_keys_are_the_keys_read(self, method):
         # solve_dataset accepts exactly these keys in a method's params
         params = _ReadLog(DEFAULT_METHOD_PARAMS[method])
         _SOLVERS[method](small_dataset(count=1)[0], 0, params)
-        assert params.read == set(DEFAULT_METHOD_PARAMS[method]) | _OPTIONAL_METHOD_PARAMS[method]
+        assert params.read == set(DEFAULT_METHOD_PARAMS[method])
 
 
 class TestGitRevision:

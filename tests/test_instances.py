@@ -157,11 +157,24 @@ class TestVrfParsing:
         with pytest.raises(DataError, match="job row"):
             parse_vrf("3 2\n0 10 1 20\n")
 
+    @pytest.mark.parametrize("index", ["1.5", "nan", "inf"])
+    def test_machine_index_must_be_whole(self, index):
+        with pytest.raises(DataError, match="machine index"):
+            parse_vrf(f"2 2\n0 10 {index} 20\n0 30 1 40\n")
+
     def test_format_round_trip(self):
         # the published files' layout: tab-separated, one job per line, blank lines allowed
         text = "3\t2\n0\t5\t1\t7\n\n0\t1.5\t1\t2\n0\t9\t1\t3\n"
         inst = parse_vrf(text)[0]
         assert np.array_equal(inst.times, [[5.0, 1.5, 9.0], [7.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("parse", [parse_taillard, parse_vrf])
+@pytest.mark.parametrize("header", ["nan 2", "inf 2", "2 inf", "2.7 1", "2 1.5", "2", "0 2", "2 -1"])
+def test_malformed_text_header_is_data_error(parse, header):
+    # counts must be whole finite numbers >= 1; "2.7 1" once parsed as a 2x1 instance
+    with pytest.raises(DataError, match="line 1"):
+        parse(f"{header}\n1 2\n3 4\n")
 
 
 def _drop_n(header):

@@ -41,6 +41,14 @@ class TestWilcoxon:
         ref = scipy.stats.wilcoxon(a, b, zero_method="wilcox", correction=False, method="approx")
         assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-10)
 
+    def test_w_plus_matches_rankdata_on_ties(self, rng):
+        for trial in range(20):
+            diff = rng.integers(-4, 5, size=30).astype(float)
+            diff = diff[diff != 0]
+            ranks = scipy.stats.rankdata(np.abs(diff))  # ties share their average rank
+            ours = wilcoxon_signed_rank(diff, np.zeros_like(diff))
+            assert ours.statistic == ranks[diff > 0].sum()
+
     def test_constant_shift_strongly_significant(self):
         b = np.linspace(1.0, 30.0, 30)
         a = b + 3.0
