@@ -52,8 +52,8 @@ class HeuristicBudget:
         iterations, seconds = self.max_iterations, self.max_time
         if iterations is not None and not (_is_number(iterations, numbers.Integral) and iterations >= 0):
             raise ValidationError(f"max_iterations must be an integer >= 0, not {iterations!r}")
-        if seconds is not None and not (_is_number(seconds, numbers.Real) and seconds > 0):
-            raise ValidationError(f"max_time must be a positive number, not {seconds!r}")
+        if seconds is not None and not (_is_number(seconds, numbers.Real) and 0 < seconds < math.inf):
+            raise ValidationError(f"max_time must be a positive number and finite, not {seconds!r}")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,14 @@ autograd node each (``gated_message``, ``edge_preactivation``). The
 decoder refines a 3d context [graph embedding, first job, last
 job] with one multi-head attention block, then scores each unscheduled
 job with clip * tanh(query . key / sqrt(d)) logits; scheduled jobs are
-masked to -inf so their probability is exactly zero.
+masked to -inf so their probability is exactly zero. The node keys and
+values of the decoder do not change between steps, so ``_keys`` projects
+them once per encoding.
 
 All weight shapes depend only on the machine count and hidden width, so
-one trained model rolls out on any job count. The same tensor code path
-serves training (with gradients) and inference (under no_grad).
+one trained model rolls out on any job count. One ``_decode`` builds the
+context and the logits for teacher forcing over all steps (training, with
+gradients) and for a single greedy step (``decode_step``, under no_grad).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "TraceBatch",
     "build_graph",
     "encode",
-    "context",
     "decode_step",
     "rollout_greedy",
     "bc_loss",
@@ -191,7 +193,8 @@ def build_graph(inst: Instance, rho: float = 0.2) -> JobGraph:
 
 @dataclass
 class Activations:
-    """Forward-pass record: per-layer embeddings plus decoder scratch.
+    """Forward-pass record: per-layer embeddings, the decoder's node keys,
+    and decoder scratch.
 
     ``edge_layers`` stops at e^(L-1): the last layer's edge update would
     feed nothing, so the encoder skips it.
@@ -201,8 +204,7 @@ class Activations:
     node_layers: list[np.ndarray]  # h^0 .. h^L, each (n, d)
     edge_layers: list[np.ndarray]  # e^0 .. e^(L-1), each (n, k, d)
     graph_embedding: np.ndarray  # (d,)
-    placeholder_v1: np.ndarray | None = None  # first-decode placeholders
-    placeholder_v2: np.ndarray | None = None
+    keys: tuple[Tensor, Tensor, Tensor]  # ``_keys`` of h^L, batch of one
     refined: np.ndarray | None = None  # last MHA output h_(c)
     logits: np.ndarray | None = None  # last masked logits (n,)
     probs: np.ndarray | None = None  # last probabilities (n,)
@@ -275,34 +277,47 @@ def _encode_core(
     return node_layers, edge_layers, h, h_graph
 
 
-def _refine_and_logits(
-    params: PolicyParams,
-    h_nodes: Tensor,
-    ctx: Tensor,
-    avail: np.ndarray,
-) -> tuple[Tensor, Tensor]:
-    """MHA refinement of the context, then clipped masked logits.
+def _keys(params: PolicyParams, h_nodes: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """The decoder's node projections, which no decoding step changes: from h_nodes
+    (B, n, d), attention keys (B, heads, dh, n), values (B, heads, n, dh), output keys (B, d, n)."""
+    t = params.tensors
+    batch, n, d = h_nodes.data.shape
+    split = (batch, n, params.config.heads, d // params.config.heads)
+    kx = (h_nodes @ t["mha_wk"].transpose(1, 0)).reshape(split).transpose(0, 2, 3, 1)
+    vx = (h_nodes @ t["mha_wv"].transpose(1, 0)).reshape(split).transpose(0, 2, 1, 3)
+    kf = (h_nodes @ t["out_wk"].transpose(1, 0)).transpose(0, 2, 1)
+    return kx, vx, kf
 
-    h_nodes: (B, n, d), ctx: (B, T, 3d), avail: (B, T, n) boolean.
-    Returns (refined context (B, T, d), logits (B, T, n)).
+
+def _decode(params: PolicyParams, h_nodes: Tensor, h_graph: Tensor, keys, first, prev, avail) -> tuple[Tensor, Tensor]:
+    """Context [graph embedding, first job, previous job], its MHA refinement,
+    then clipped masked logits.
+
+    h_nodes: (B, n, d), h_graph: (B, d), keys from ``_keys``; first, prev:
+    (B, T) job indices, where -1 selects the learned placeholder v1 or v2;
+    avail: (B, T, n) boolean. Returns (refined context (B, T, d), logits (B, T, n)).
     """
     cfg = params.config
     t = params.tensors
-    batch, n, d = h_nodes.data.shape
-    steps = ctx.data.shape[1]
+    kx, vx, kf = keys
+    batch, _, d = h_nodes.data.shape
+    steps = first.shape[1]
     heads = cfg.heads
     dh = d // heads
 
+    slots = [h_graph.reshape(batch, 1, d).broadcast_to((batch, steps, d))]
+    for jobs, placeholder in ((first, t["v1"]), (prev, t["v2"])):
+        rows = ag.gather_rows(h_nodes, np.maximum(jobs, 0))
+        slots.append(ag.where(jobs[..., None] < 0, placeholder, rows))
+    ctx = ag.concat(slots, axis=-1)
+
     q = (ctx @ t["mha_wq"].transpose(1, 0)).reshape(batch, steps, heads, dh).transpose(0, 2, 1, 3)
-    kx = (h_nodes @ t["mha_wk"].transpose(1, 0)).reshape(batch, n, heads, dh).transpose(0, 2, 3, 1)
-    vx = (h_nodes @ t["mha_wv"].transpose(1, 0)).reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
     attn = ((q @ kx) * (1.0 / math.sqrt(dh))).softmax(axis=-1)
     mixed = (attn @ vx).transpose(0, 2, 1, 3).reshape(batch, steps, d)
     refined = mixed @ t["mha_wo"].transpose(1, 0)
 
     qf = refined @ t["out_wq"].transpose(1, 0)
-    kf = h_nodes @ t["out_wk"].transpose(1, 0)
-    scores = (qf @ kf.transpose(0, 2, 1)) * (1.0 / math.sqrt(d))
+    scores = (qf @ kf) * (1.0 / math.sqrt(d))
     clipped = scores.tanh() * cfg.logit_clip
     logits = ag.where(avail, clipped, -np.inf)
     return refined, logits
@@ -311,63 +326,41 @@ def _refine_and_logits(
 # --- public single-instance operations ---------------------------------------
 
 
-def encode(params: PolicyParams, graph: JobGraph, mode: str = "eval") -> Activations:
-    """Embed one job graph; per-layer activations are kept for inspection."""
-    if mode not in ("train", "eval"):
-        raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
+def encode(params: PolicyParams, graph: JobGraph) -> Activations:
+    """Embed one job graph in eval mode; per-layer activations are kept for inspection."""
     if graph.features.shape[1] != params.config.machines:
         raise ValidationError(
             f"graph has {graph.features.shape[1]} machines, model expects {params.config.machines}"
         )
     with ag.no_grad():
-        node_layers, edge_layers, _, h_graph = _encode_core(
-            params,
-            graph.features[None],
-            graph.neighbors[None],
-            graph.distances[None],
-            mode,
+        node_layers, edge_layers, h_nodes, h_graph = _encode_core(
+            params, graph.features[None], graph.neighbors[None], graph.distances[None], "eval"
         )
+        keys = _keys(params, h_nodes)
     return Activations(
         graph=graph,
         node_layers=[t.data[0] for t in node_layers],
         edge_layers=[t.data[0] for t in edge_layers],
         graph_embedding=h_graph.data[0],
-        placeholder_v1=params.tensors["v1"].data,
-        placeholder_v2=params.tensors["v2"].data,
+        keys=keys,
     )
 
 
-def context(acts: Activations, state: ScheduleState) -> np.ndarray:
-    """3d decoding context: graph embedding plus first/previous job slots.
-
-    At t=0 both job slots are the learned placeholders; afterwards they
-    hold the first and most recently scheduled jobs' embeddings.
-    """
-    h = acts.node_layers[-1]
-    if state.t == 0:
-        first = acts.placeholder_v1
-        prev = acts.placeholder_v2
-    else:
-        first = h[state.scheduled[0]]
-        prev = h[state.scheduled[-1]]
-    return np.concatenate([acts.graph_embedding, first, prev])
-
-
 def decode_step(params: PolicyParams, acts: Activations, state: ScheduleState) -> np.ndarray:
-    """Probability vector over jobs for the next action; scheduled jobs get 0."""
+    """Probability vector over jobs for the next action; scheduled jobs get 0.
+
+    At t=0 the context's job slots are the learned placeholders; afterwards
+    they hold the first and most recently scheduled jobs' embeddings.
+    """
     if state.done:
         raise ValidationError("cannot decode from a terminal state (all jobs scheduled)")
     if state.instance.n != acts.graph.n:
         raise ValidationError("state and activations disagree on the job count")
-    ctx = context(acts, state)
-    avail = state_mask(state)[None, None, :]
+    jobs = [state.scheduled[0], state.scheduled[-1]] if state.t else [-1, -1]  # -1: the placeholders
+    first, prev = np.array(jobs).reshape(2, 1, 1)
+    h_nodes, h_graph = Tensor(acts.node_layers[-1][None]), Tensor(acts.graph_embedding[None])
     with ag.no_grad():
-        refined, logits = _refine_and_logits(
-            params,
-            Tensor(acts.node_layers[-1][None]),
-            Tensor(ctx[None, None, :]),
-            avail,
-        )
+        refined, logits = _decode(params, h_nodes, h_graph, acts.keys, first, prev, state_mask(state)[None, None, :])
         probs = logits.softmax(axis=-1)
     acts.refined = refined.data[0, 0]
     acts.logits = logits.data[0, 0]
@@ -381,7 +374,7 @@ def rollout_greedy(params: PolicyParams, inst: Instance) -> np.ndarray:
         raise ValidationError(f"instance {inst.name!r} has {inst.m} machines, model expects {params.config.machines}")
     if inst.n == 1:
         return np.zeros(1, dtype=np.int64)
-    acts = encode(params, build_graph(inst, params.config.neighbor_fraction), mode="eval")
+    acts = encode(params, build_graph(inst, params.config.neighbor_fraction))
     state = reset(inst)
     while not state.done:
         state = step(state, int(np.argmax(decode_step(params, acts, state))))
@@ -440,41 +433,31 @@ class TraceBatch:
 
 def _teacher_forced_logprobs(params: PolicyParams, batch: TraceBatch, mode: str) -> Tensor:
     """Log-probabilities of the expert actions at every step: (B, n)."""
-    cfg = params.config
     b, n, _ = batch.features.shape
     tau = batch.actions
     _, _, h_nodes, h_graph = _encode_core(params, batch.features, batch.neighbors, batch.distances, mode)
-    d = cfg.hidden_dim
-
-    # context slots per step: graph embedding, first job, previous job
-    hg = h_graph.reshape(b, 1, d).broadcast_to((b, n, d))
-    first_idx = np.repeat(tau[:, :1], n, axis=1)
-    prev_idx = np.concatenate([tau[:, :1], tau[:, :-1]], axis=1)
-    firsts = ag.gather_rows(h_nodes, first_idx)
-    prevs = ag.gather_rows(h_nodes, prev_idx)
-    t0 = np.zeros((1, n, 1), dtype=bool)
-    t0[0, 0, 0] = True
-    slot2 = ag.where(t0, params.tensors["v1"], firsts)
-    slot3 = ag.where(t0, params.tensors["v2"], prevs)
-    ctx = ag.concat([hg, slot2, slot3], axis=-1)
-
+    # step t's job slots: the placeholders at t=0, then tau[0] and tau[t-1]
+    first = np.repeat(tau[:, :1], n, axis=1)
+    first[:, 0] = -1
+    prev = np.concatenate([np.full((b, 1), -1), tau[:, :-1]], axis=1)
     # job j is available at step t iff its scheduled position is >= t
     pos = np.argsort(tau, axis=1)
     avail = pos[:, None, :] >= np.arange(n)[None, :, None]
 
-    _, logits = _refine_and_logits(params, h_nodes, ctx, avail)
+    _, logits = _decode(params, h_nodes, h_graph, _keys(params, h_nodes), first, prev, avail)
     log_probs = logits.log_softmax(axis=-1)
     return ag.gather_rows(log_probs.reshape(b * n, n, 1), tau.reshape(-1, 1)).reshape(b, n)
 
 
-def bc_loss(params: PolicyParams, batch: TraceBatch, mode: str = "train") -> tuple[float, dict[str, np.ndarray]]:
+def bc_loss(params: PolicyParams, batch: TraceBatch) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy of expert actions, with gradients for every tensor.
 
     Returns the scalar loss and a name -> gradient dict produced by one
-    reverse sweep through the full encoder/decoder graph.
+    reverse sweep through the full encoder/decoder graph, with batch norm
+    in train mode.
     """
     params.zero_grad()
-    lp = _teacher_forced_logprobs(params, batch, mode)
+    lp = _teacher_forced_logprobs(params, batch, "train")
     loss = -lp.mean()
     loss.backward()
     return float(loss.data), params.grads()

@@ -145,7 +145,7 @@ def train(
                     distances=corpus.distances[rows],
                     actions=corpus.actions[rows],
                 )
-                loss, grads = bc_loss(params, batch, mode="train")
+                loss, grads = bc_loss(params, batch)
                 optimizer.step(grads, lr)
                 total += loss * batch.size
                 seen += batch.size

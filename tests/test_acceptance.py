@@ -141,7 +141,7 @@ def test_criterion_4_gradient_check():
         params = PolicyParams.init(config, seed=44)
         instances = [Instance(r.gamma(1.0, 2.0, (2, 3))) for _ in range(2)]
         batch = TraceBatch.from_traces(record_expert_traces(instances), config)
-        _, grads = bc_loss(params, batch, mode="train")
+        _, grads = bc_loss(params, batch)
         eps = 1e-5
         worst = 0.0
         for name, tensor in params.tensors.items():
@@ -149,9 +149,9 @@ def test_criterion_4_gradient_check():
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                up, _ = bc_loss(params, batch, mode="train")
+                up, _ = bc_loss(params, batch)
                 flat[idx] = orig - eps
-                down, _ = bc_loss(params, batch, mode="train")
+                down, _ = bc_loss(params, batch)
                 flat[idx] = orig
                 numeric = (up - down) / (2 * eps)
                 analytic = grads[name].reshape(-1)[idx]
@@ -173,7 +173,7 @@ def test_criterion_5_masking_probability_invariants():
     while steps_checked < 100_000:
         n = int(r.integers(2, 17))
         inst = Instance(r.gamma(1.0, 2.0, (3, n)))
-        acts = encode(params, build_graph(inst), mode="eval")
+        acts = encode(params, build_graph(inst))
         state = reset(inst)
         per_instance = min(100_000 - steps_checked, 600)
         for _ in range(per_instance):

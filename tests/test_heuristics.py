@@ -77,7 +77,7 @@ class TestBudget:
         with pytest.raises(ValidationError, match="max_iterations must be an integer"):
             HeuristicBudget(max_iterations=value)
 
-    @pytest.mark.parametrize("value", ["x", True, float("nan")])
+    @pytest.mark.parametrize("value", ["x", True, float("nan"), float("inf")])
     def test_non_numeric_time_rejected(self, value):
         with pytest.raises(ValidationError, match="max_time must be a positive number"):
             HeuristicBudget(max_time=value)

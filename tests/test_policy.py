@@ -23,7 +23,6 @@ from flowshop.policy import (
     TraceBatch,
     bc_loss,
     build_graph,
-    context,
     decode_step,
     encode,
     rollout_greedy,
@@ -188,7 +187,7 @@ class TestEncode:
     def test_identical_jobs_equal_embeddings(self):
         inst = Instance(np.tile(np.array([[2.0], [1.0]]), (1, 5)))
         params = tiny_params(norm="none")
-        acts = encode(params, build_graph(inst), mode="eval")
+        acts = encode(params, build_graph(inst))
         for h in acts.node_layers:
             assert np.allclose(h, h[0], atol=1e-12)
 
@@ -199,7 +198,7 @@ class TestEncode:
         for layer in range(params.config.layers):
             for name in ("B", "C", "D", "E", "F"):
                 params.tensors[f"enc{layer}_{name}"].data[:] = 0.0
-        acts = encode(params, build_graph(inst), mode="eval")
+        acts = encode(params, build_graph(inst))
         assert len(acts.node_layers) == 3 and len(acts.edge_layers) == 2
         assert np.allclose(acts.node_layers[1], acts.node_layers[0], atol=1e-15)
         assert np.allclose(acts.edge_layers[1], acts.edge_layers[0], atol=1e-15)
@@ -209,7 +208,7 @@ class TestEncode:
         inst = random_instance(rng, n=3, m=2)
         params = tiny_params(norm="none", seed=11, aggregation=aggregation, layers=2)
         graph = build_graph(inst, rho=0.5)
-        acts = encode(params, graph, mode="eval")
+        acts = encode(params, graph)
         oh, oe, og = oracle_encode_none_norm(params, graph)
         # the oracle also computes e^L, which encode skips because nothing reads it
         assert len(acts.node_layers) == len(oh) == 3
@@ -241,42 +240,6 @@ class TestEncode:
         params.tensors["w_e"].data[:] = np.inf
         with pytest.raises(NumericError, match="layer 0"):
             encode(params, build_graph(inst))
-
-
-class TestContext:
-    def test_t0_uses_placeholders(self, rng):
-        inst = random_instance(rng, n=4, m=2)
-        params = tiny_params()
-        acts = encode(params, build_graph(inst))
-        ctx = context(acts, reset(inst))
-        d = params.config.hidden_dim
-        assert ctx.shape == (3 * d,)
-        np.testing.assert_allclose(ctx[:d], acts.graph_embedding)
-        np.testing.assert_allclose(ctx[d : 2 * d], params.tensors["v1"].data)
-        np.testing.assert_allclose(ctx[2 * d :], params.tensors["v2"].data)
-
-    def test_t1_first_job_in_both_slots(self, rng):
-        inst = random_instance(rng, n=4, m=2)
-        params = tiny_params()
-        acts = encode(params, build_graph(inst))
-        state = step(reset(inst), 2)
-        ctx = context(acts, state)
-        d = params.config.hidden_dim
-        h2 = acts.node_layers[-1][2]
-        np.testing.assert_allclose(ctx[d : 2 * d], h2)
-        np.testing.assert_allclose(ctx[2 * d :], h2)
-
-    def test_t3_matches_oracle_concatenation(self, rng):
-        inst = random_instance(rng, n=6, m=2)
-        params = tiny_params()
-        acts = encode(params, build_graph(inst))
-        state = reset(inst)
-        for action in (4, 1, 5):
-            state = step(state, action)
-        ctx = context(acts, state)
-        h = acts.node_layers[-1]
-        expected = np.concatenate([acts.graph_embedding, h[4], h[5]])
-        np.testing.assert_allclose(ctx, expected)
 
 
 class TestDecodeStep:
@@ -325,6 +288,43 @@ class TestDecodeStep:
         state = step(step(reset(inst), 0), 1)
         with pytest.raises(ValidationError):
             decode_step(params, acts, state)
+
+
+class TestTeacherForcingAgreement:
+    """Training's batched teacher forcing and the per-step decoder share one
+    ``_decode``. Fed greedy permutations in eval mode, teacher forcing must pick
+    the greedy action at every step and give it decode_step's log-probability."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_greedy_decoding(self, monkeypatch, dtype, tol):
+        cfg = PolicyConfig(machines=5, hidden_dim=32, layers=3, heads=4)
+        params = PolicyParams.init(cfg, seed=0)
+        if dtype == np.float32:
+            params = _float32_params(params)
+        insts = generate(DatasetSpec(count=16, jobs=20, machines=5, seed=17))
+        perms = np.stack([rollout_greedy(params, inst) for inst in insts])
+        step_logprobs = []
+        for inst, perm in zip(insts, perms):
+            acts, state = encode(params, build_graph(inst)), reset(inst)
+            for a in perm:
+                step_logprobs.append(np.log(decode_step(params, acts, state)[a]))
+                state = step(state, int(a))
+
+        decode, logits = policy._decode, []
+
+        def recording_decode(*args):
+            refined, step_logits = decode(*args)
+            logits.append(step_logits.data)
+            return refined, step_logits
+
+        monkeypatch.setattr(policy, "_decode", recording_decode)
+        batch = TraceBatch.from_traces([ExpertTrace(inst, tuple(perm)) for inst, perm in zip(insts, perms)], cfg)
+        with ag.no_grad():
+            lp = policy._teacher_forced_logprobs(params, batch, "eval").data
+        assert lp.dtype == dtype
+        (forced,) = logits
+        np.testing.assert_array_equal(forced.argmax(axis=-1), perms)
+        np.testing.assert_allclose(lp, np.reshape(step_logprobs, lp.shape), rtol=0.0, atol=tol)
 
 
 class TestEquivariance:
@@ -435,7 +435,7 @@ class TestBcLoss:
         params.tensors["out_wq"].data[:] = 0.0
         traces = self._traces(rng, count=3, n=4)
         batch = TraceBatch.from_traces(traces, params.config)
-        loss, _ = bc_loss(params, batch, mode="train")
+        loss, _ = bc_loss(params, batch)
         expected = np.mean([math.log(4 - t) for t in range(4)])
         assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -474,7 +474,7 @@ class TestBcLoss:
         params = tiny_params(norm=norm, seed=7)
         traces = self._traces(rng, count=2, n=3)
         batch = TraceBatch.from_traces(traces, params.config)
-        loss, grads = bc_loss(params, batch, mode="train")
+        loss, grads = bc_loss(params, batch)
         eps = 1e-5
         for name, tensor in params.tensors.items():
             flat = tensor.data.reshape(-1)
@@ -482,9 +482,9 @@ class TestBcLoss:
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                up, _ = bc_loss(params, batch, mode="train")
+                up, _ = bc_loss(params, batch)
                 flat[idx] = orig - eps
-                down, _ = bc_loss(params, batch, mode="train")
+                down, _ = bc_loss(params, batch)
                 flat[idx] = orig
                 numeric[idx] = (up - down) / (2 * eps)
             np.testing.assert_allclose(
@@ -497,9 +497,9 @@ class TestBcLoss:
         params = tiny_params(norm="batch", seed=2)
         traces = self._traces(rng, count=4, n=5)
         batch = TraceBatch.from_traces(traces, params.config)
-        loss0, grads = bc_loss(params, batch, mode="train")
+        loss0, grads = bc_loss(params, batch)
         Adam(params.tensors).step(grads, 1e-2)
-        loss1, _ = bc_loss(params, batch, mode="train")
+        loss1, _ = bc_loss(params, batch)
         assert loss1 < loss0
 
 
