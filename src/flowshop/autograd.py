@@ -10,23 +10,28 @@ inference on frozen parameters runs with no tape at all. Gradients are
 accumulated by walking the graph in reverse topological order from a
 scalar loss; a gradient an op has just allocated for one input, or a node's
 own incoming gradient handed to one input alone (``add``'s first operand,
-the input of ``reshape`` and ``transpose``, each ``concat`` slice), becomes
-its ``grad`` uncopied.
+the input of ``reshape`` and ``transpose``, each ``concat`` slice, the
+residual of ``residual_normalize``), becomes its ``grad`` uncopied.
 
-The op set is deliberately small: elementwise + - * / and sqrt, matmul
-with numpy broadcasting, relu/sigmoid/tanh, sum/mean/max reductions, stable
-(log-)softmax that tolerates -inf masking, a row gather (``gather_rows``),
-concat, reshape/transpose/broadcast_to, where, and three fused nodes of the
-gated graph layer: batch/layer ``normalize``, the ``gated_message`` and the
-``edge_preactivation``. The policy network needs all of them except binary
-``-``, ``/``, ``sqrt``, ``sigmoid`` and ``max``, which the tests compose into
-reference chains for the fused nodes.
+The op set is deliberately small: elementwise + * and unary -, matmul with
+numpy broadcasting (``linear`` for ``x @ w.T`` as one node), tanh, sum/mean
+reductions, stable (log-)softmax that tolerates -inf masking, a row gather
+(``gather_rows``), concat, reshape/transpose/broadcast_to, where, and three
+fused nodes of the gated graph layer: the ``gated_message``, the
+``edge_preactivation`` and ``residual_normalize``, which is ``res +
+relu(Nm(pre))`` for batch, layer or no normalization. The policy network
+needs all of them; the tests build their reference chains from further
+ops on ``Tensor._make``.
 
 ``backward()`` releases the graph as it sweeps: each interior node's
 gradient, closure and parent links are dropped once its backward has run,
 so activations and intermediate gradients are freed during the sweep and
 only leaf tensors keep their ``grad``. Each graph therefore allows one
-backward; a second call on a released graph raises ``ValueError``.
+backward; a second call on a released graph raises ``ValueError``. The
+forward tape is kept small too: ``residual_normalize`` absorbs the node
+that made its pre-activation, so that array is freed as soon as the
+caller drops it, and the fused nodes keep only the arrays their backward
+reads.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ import math
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "where", "normalize", "gather_rows", "gated_message", "edge_preactivation", "no_grad"]
+__all__ = [
+    "Tensor", "concat", "where", "linear", "residual_normalize",
+    "gather_rows", "gated_message", "edge_preactivation", "no_grad",
+]
 
 _GRAD_ENABLED = True
 
@@ -216,12 +224,6 @@ class Tensor:
 
         return Tensor._make(-a.data, (a,), backward)
 
-    def __sub__(self, other):
-        return self + (-_as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return _as_tensor(other, self) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other, self)
         a, b = self, other
@@ -235,18 +237,6 @@ class Tensor:
         return Tensor._make(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_tensor(other, self)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape), owned=True)
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
-
-        return Tensor._make(a.data / b.data, (a, b), backward)
 
     def __matmul__(self, other):
         other = _as_tensor(other, self)
@@ -266,55 +256,31 @@ class Tensor:
 
         return Tensor._make(a.data @ b.data, (a, b), backward)
 
-    def _matmul_2d_weight(self, w: "Tensor") -> "Tensor":
-        """(..., q) @ (q, r) with a's leading axes folded into GEMM rows.
+    def _matmul_2d_weight(self, w: "Tensor", transposed: bool = False) -> "Tensor":
+        """(..., q) @ (q, r), or (..., q) @ w.T for a (r, q) ``w`` when ``transposed``,
+        with a's leading axes folded into GEMM rows.
 
         The forward and both gradients are single 2-D GEMMs, so the weight
-        gradient never materialises a batch of (q, r) outer products.
+        gradient never materialises a batch of (q, r) outer products. A
+        transposed weight enters the GEMMs as a transposed view, with no copy
+        and no node of its own.
         """
         a = self
-        q, r = w.data.shape
+        wm = w.data.T if transposed else w.data
+        q, r = wm.shape
 
         def backward(g):
             g2 = g.reshape(-1, r)
             if a.requires_grad:
-                a._accumulate((g2 @ w.data.T).reshape(a.data.shape), owned=True)
+                a._accumulate((g2 @ wm.T).reshape(a.data.shape), owned=True)
             if w.requires_grad:
-                w._accumulate(a.data.reshape(-1, q).T @ g2, owned=True)
+                gw = a.data.reshape(-1, q).T @ g2
+                w._accumulate(gw.T if transposed else gw, owned=True)
 
-        out = a.data.reshape(-1, q) @ w.data
+        out = a.data.reshape(-1, q) @ wm
         return Tensor._make(out.reshape(*a.data.shape[:-1], r), (a, w), backward)
 
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward(g):
-            a._accumulate(g * 0.5 / np.sqrt(a.data), owned=True)
-
-        return Tensor._make(out_data, (a,), backward)
-
     # -- nonlinearities ----------------------------------------------------
-
-    def relu(self):
-        a = self
-        out_data = np.maximum(a.data, 0)  # -0.0 comes out +0.0; NaN propagates
-
-        def backward(g):
-            a._accumulate(g * (out_data > 0), owned=True)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def sigmoid(self):
-        a = self
-        out_data = _sigmoid(a.data)
-
-        def backward(g):
-            r = g * out_data
-            r *= 1 - out_data
-            a._accumulate(r, owned=True)
-
-        return Tensor._make(out_data, (a,), backward)
 
     def tanh(self):
         a = self
@@ -348,22 +314,6 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             scale = 1.0 / math.prod(self.data.shape[ax] for ax in axes)
         return self.sum(axis=axis, keepdims=keepdims) * scale
-
-    def max(self, axis: int, keepdims: bool = False):
-        """Maximum along one axis; gradient flows to the first argmax."""
-        a = self
-        am = np.argmax(a.data, axis=axis)
-        out_data = np.take_along_axis(a.data, np.expand_dims(am, axis), axis=axis)
-        if not keepdims:
-            out_data = np.squeeze(out_data, axis=axis)
-
-        def backward(g):
-            gg = g if keepdims else np.expand_dims(g, axis)
-            ga = np.zeros_like(a.data)
-            np.put_along_axis(ga, np.expand_dims(am, axis), gg, axis=axis)
-            a._accumulate(ga, owned=True)
-
-        return Tensor._make(out_data, (a,), backward)
 
     # -- softmax family ------------------------------------------------------
 
@@ -412,10 +362,9 @@ class Tensor:
         a = self
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
 
         def backward(g):
-            a._accumulate(g.transpose(inverse), owned=True)
+            a._accumulate(g.transpose(np.argsort(axes)), owned=True)
 
         return Tensor._make(a.data.transpose(axes), (a,), backward)
 
@@ -460,46 +409,88 @@ def where(cond: np.ndarray, a, b) -> Tensor:
     return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward)
 
 
-def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...], eps: float, stats=None):
-    """``(x - mu) / sqrt(var + eps) * gamma + beta`` as one node; returns ``(y, mu, var)``.
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w.T`` for a weight stored as (out, in), as one node."""
+    return x._matmul_2d_weight(w, transposed=True)
 
-    The mean and biased variance are taken over ``axes`` (kept as size-1
-    axes), unless ``stats = (mu, var)`` fixes them. The forward runs the ops
-    of the composed chain in its order, so it is bit-identical to it. The
-    backward keeps only ``xhat`` and ``sd`` (Ioffe & Szegedy 2015): with
-    ``dxhat = g * gamma``, ``dx = (dxhat - mean(dxhat) - xhat *
-    mean(dxhat * xhat)) / sd``, or ``dxhat / sd`` with fixed statistics.
+
+def residual_normalize(res: Tensor, pre: Tensor, gamma, beta, axes: tuple[int, ...], eps: float, stats=None):
+    """``res + relu((pre - mu) / sqrt(var + eps) * gamma + beta)`` as one node;
+    returns ``(out, mu, var)``.
+
+    ``res`` has the shape of ``pre``. The mean and biased variance are taken
+    over ``axes`` (kept as size-1 axes), unless ``stats = (mu, var)`` fixes
+    them. With ``gamma`` and ``beta`` None the normalization is the identity,
+    and ``mu`` and ``var`` are None. The forward runs the ops of the composed
+    chain in its order, so it is bit-identical to it.
+
+    The node keeps only ``xhat`` and ``sd`` (Ioffe & Szegedy 2015). Its
+    backward recomputes the relu mask as ``xhat * gamma + beta > 0``, the
+    forward's bits, hands ``g`` itself to ``res`` and, with ``dxhat = g *
+    mask * gamma``, forms ``dpre = (dxhat - mean(dxhat) - xhat * mean(dxhat
+    * xhat)) / sd``, or ``dxhat / sd`` with fixed statistics. The node also
+    absorbs the node that made ``pre``: it takes over that node's parents
+    and calls its backward with ``dpre``. The backwards of ``+`` and
+    ``edge_preactivation`` read only their inputs, so once the caller drops
+    ``pre`` nothing holds its data: the tape keeps what the backward reads
+    and recomputes the cheap rest (Chen et al. 2016). Under ``no_grad`` the
+    result is written into ``pre``'s data, so ``pre`` must then be a fresh
+    array that nothing else reads.
     """
-    data = x.data
-    if stats is None:
-        scale = 1.0 / math.prod(data.shape[ax] for ax in axes)
-        mu = _sum(data, axes, keepdims=True) * scale
-        xhat = data - mu
-        var = _sum(xhat * xhat, axes, keepdims=True) * scale
+    data, pre_grad = pre.data, pre.requires_grad
+    if pre._backward is not None:  # absorb the node that made pre; the closure must not hold pre
+        pre_parents, pre_backward = pre._parents, pre._backward
+    else:  # a leaf or a constant stays a parent
+        pre_parents, pre_backward = (pre,), lambda dpre: pre._accumulate(dpre, owned=True)
+    parents = (res, *pre_parents, *(() if gamma is None else (gamma, beta)))
+    into = None if _GRAD_ENABLED else data
+    mu = var = None
+    if gamma is None:
+        xhat = data
+        out = np.maximum(data, 0, out=into)  # -0.0 comes out +0.0; NaN propagates
     else:
-        mu, var = (np.asarray(s, dtype=data.dtype) for s in stats)
-        xhat = data - mu
-    sd = np.sqrt(var + eps)
-    xhat /= sd
-    y = xhat * gamma.data
-    y += beta.data
+        if stats is None:
+            scale = 1.0 / math.prod(data.shape[ax] for ax in axes)
+            mu = _sum(data, axes, keepdims=True) * scale
+            xhat = np.subtract(data, mu, out=into)
+            var = _sum(xhat * xhat, axes, keepdims=True) * scale
+        else:
+            mu, var = (np.asarray(s, dtype=data.dtype) for s in stats)
+            xhat = np.subtract(data, mu, out=into)
+        sd = np.sqrt(var + eps)
+        xhat /= sd
+        out = np.multiply(xhat, gamma.data, out=into)
+        out += beta.data
+        np.maximum(out, 0, out=out)
+    out += res.data
 
     def backward(g):
-        if x.requires_grad:
-            dx = g * gamma.data
-            if stats is None:
-                t = dx * xhat
-                mean_dx_xhat = _sum(t, axes, keepdims=True) * scale
-                dx -= _sum(dx, axes, keepdims=True) * scale
-                dx -= np.multiply(xhat, mean_dx_xhat, out=t)
-            dx /= sd
-            x._accumulate(dx, owned=True)
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape), owned=True)
-        if beta.requires_grad:  # last: beta may take g itself
-            beta._accumulate(_unbroadcast(g, beta.data.shape), owned=True)
+        if gamma is None:
+            dy = g * (xhat > 0)
+        else:
+            dy = xhat * gamma.data
+            dy += beta.data
+            np.multiply(g, dy > 0, out=dy)
+        if res.requires_grad:  # after dy: an absorbed backward may add into res.grad, which is g
+            res._accumulate(g, owned=True)
+        dpre = dy
+        if gamma is not None:
+            if pre_grad:
+                dpre = dy * gamma.data
+                if stats is None:
+                    t = dpre * xhat
+                    mean_dx_xhat = _sum(t, axes, keepdims=True) * scale
+                    dpre -= _sum(dpre, axes, keepdims=True) * scale
+                    dpre -= np.multiply(xhat, mean_dx_xhat, out=t)
+                dpre /= sd
+            if gamma.requires_grad:
+                gamma._accumulate(_unbroadcast(dy * xhat, gamma.data.shape), owned=True)
+            if beta.requires_grad:  # last: beta may take dy itself
+                beta._accumulate(_unbroadcast(dy, beta.data.shape), owned=True)
+        if pre_grad:
+            pre_backward(dpre)
 
-    return Tensor._make(y, (x, gamma, beta), backward), mu, var
+    return Tensor._make(out, parents, backward), mu, var
 
 
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:

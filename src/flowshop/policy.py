@@ -8,12 +8,16 @@ convolution stack embeds nodes and edges with residual updates
     e' = e + ReLU(Nm(D e_jk + E h_j + F h_k))
 
 The message Ag_k(...) and the edge pre-activation inside Nm(...) are one
-autograd node each (``gated_message``, ``edge_preactivation``). The
-decoder refines a 3d context [graph embedding, first job, last
-job] with one multi-head attention block, then scores each unscheduled
-job with clip * tanh(query . key / sqrt(d)) logits; scheduled jobs are
-masked to -inf so their probability is exactly zero. The node keys and
-values of the decoder do not change between steps, so ``_keys`` projects
+autograd node each (``gated_message``, ``edge_preactivation``), and so is
+each stream's residual update x + ReLU(Nm(...)) (``residual_normalize``).
+That node takes over the node that made its pre-activation, so the
+training tape keeps only the normalized pre-activation and the output of
+each stream and layer. Every x W.T is one node too (``linear``). The
+decoder refines a 3d context [graph embedding, first job, last job] with
+one multi-head attention block, then scores each unscheduled job with
+clip * tanh(query . key / sqrt(d)) logits; scheduled jobs are masked to
+-inf so their probability is exactly zero. The node keys and values of
+the decoder do not change between steps, so ``_keys`` projects
 them once per encoding.
 
 All weight shapes depend only on the machine count and hidden width, so
@@ -31,9 +35,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .core import Instance, validate_permutation
+from .core import Instance
 from .env import ScheduleState, mask as state_mask, reset, step
-from .errors import DataError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 
 __all__ = [
     "PolicyConfig",
@@ -213,25 +217,22 @@ class Activations:
 # --- shared tensor-level forward pieces -------------------------------------
 
 
-def _normalize(params: PolicyParams, x: Tensor, layer: int, stream: str, mode: str) -> Tensor:
-    """Layer norm over the feature axis, or batch norm over the others: from the
-    batch in train mode (folded into the running buffers), from those buffers in eval mode."""
+def _residual(params: PolicyParams, res: Tensor, pre: Tensor, layer: int, stream: str, mode: str) -> Tensor:
+    """``res + ReLU(Nm(pre))`` as one node. Nm is layer norm over the feature axis, or
+    batch norm over the others: from the batch in train mode (folded into the running
+    buffers), from those buffers in eval mode."""
     kind = params.config.normalization
-    if kind == "none":
-        return x
     name = f"enc{layer}_{stream}"
-    gamma, beta = params.tensors[f"{name}_gamma"], params.tensors[f"{name}_beta"]
-    if kind == "layer":
-        return ag.normalize(x, gamma, beta, (-1,), _BN_EPS)[0]
-    running = (params.buffers[f"{name}_mean"], params.buffers[f"{name}_var"])
-    axes = tuple(range(x.data.ndim - 1))
-    if mode != "train":
-        return ag.normalize(x, gamma, beta, axes, _BN_EPS, stats=running)[0]
-    y, mu, var = ag.normalize(x, gamma, beta, axes, _BN_EPS)
-    for buffer, stat in zip(running, (mu, var)):
-        buffer *= 1.0 - _BN_MOMENTUM
-        buffer += _BN_MOMENTUM * stat.reshape(-1)
-    return y
+    gamma, beta = params.tensors.get(f"{name}_gamma"), params.tensors.get(f"{name}_beta")  # None for "none"
+    running = (params.buffers[f"{name}_mean"], params.buffers[f"{name}_var"]) if kind == "batch" else None
+    axes = tuple(range(pre.data.ndim - 1)) if kind == "batch" else (-1,)
+    fit = kind == "batch" and mode == "train"
+    out, mu, var = ag.residual_normalize(res, pre, gamma, beta, axes, _BN_EPS, stats=None if fit else running)
+    if fit:
+        for buffer, stat in zip(running, (mu, var)):
+            buffer *= 1.0 - _BN_MOMENTUM
+            buffer += _BN_MOMENTUM * stat.reshape(-1)
+    return out
 
 
 def _encode_core(
@@ -252,21 +253,17 @@ def _encode_core(
     cfg = params.config
     t = params.tensors
     dtype = t["w_h"].data.dtype
-    h = Tensor(x.astype(dtype, copy=False)) @ t["w_h"].transpose(1, 0)
+    h = ag.linear(Tensor(x.astype(dtype, copy=False)), t["w_h"])
     e = Tensor(dist[..., None].astype(dtype, copy=False)) * t["w_e"]
     node_layers = [h]
     edge_layers = [e]
     edges_finite = np.isfinite(e.data).all()  # e^0; later, only an updated e is checked again
     for layer in range(cfg.layers):
-        bh = h @ t[f"enc{layer}_B"].transpose(1, 0)
-        ch = h @ t[f"enc{layer}_C"].transpose(1, 0)
-        node_pre = bh + ag.gated_message(e, ch, nbr, cfg.aggregation)
-        h = h + _normalize(params, node_pre, layer, "node", mode).relu()
-
+        bh, ch = (ag.linear(h, t[f"enc{layer}_{name}"]) for name in ("B", "C"))
+        h = _residual(params, h, bh + ag.gated_message(e, ch, nbr, cfg.aggregation), layer, "node", mode)
         if layer + 1 < cfg.layers:
             weights = (t[f"enc{layer}_{name}"] for name in ("D", "E", "F"))
-            edge_pre = ag.edge_preactivation(e, node_layers[layer], *weights, nbr)
-            e = e + _normalize(params, edge_pre, layer, "edge", mode).relu()
+            e = _residual(params, e, ag.edge_preactivation(e, node_layers[layer], *weights, nbr), layer, "edge", mode)
             edges_finite = np.isfinite(e.data).all()
             edge_layers.append(e)
 
@@ -283,9 +280,9 @@ def _keys(params: PolicyParams, h_nodes: Tensor) -> tuple[Tensor, Tensor, Tensor
     t = params.tensors
     batch, n, d = h_nodes.data.shape
     split = (batch, n, params.config.heads, d // params.config.heads)
-    kx = (h_nodes @ t["mha_wk"].transpose(1, 0)).reshape(split).transpose(0, 2, 3, 1)
-    vx = (h_nodes @ t["mha_wv"].transpose(1, 0)).reshape(split).transpose(0, 2, 1, 3)
-    kf = (h_nodes @ t["out_wk"].transpose(1, 0)).transpose(0, 2, 1)
+    kx = ag.linear(h_nodes, t["mha_wk"]).reshape(split).transpose(0, 2, 3, 1)
+    vx = ag.linear(h_nodes, t["mha_wv"]).reshape(split).transpose(0, 2, 1, 3)
+    kf = ag.linear(h_nodes, t["out_wk"]).transpose(0, 2, 1)
     return kx, vx, kf
 
 
@@ -311,12 +308,12 @@ def _decode(params: PolicyParams, h_nodes: Tensor, h_graph: Tensor, keys, first,
         slots.append(ag.where(jobs[..., None] < 0, placeholder, rows))
     ctx = ag.concat(slots, axis=-1)
 
-    q = (ctx @ t["mha_wq"].transpose(1, 0)).reshape(batch, steps, heads, dh).transpose(0, 2, 1, 3)
+    q = ag.linear(ctx, t["mha_wq"]).reshape(batch, steps, heads, dh).transpose(0, 2, 1, 3)
     attn = ((q @ kx) * (1.0 / math.sqrt(dh))).softmax(axis=-1)
     mixed = (attn @ vx).transpose(0, 2, 1, 3).reshape(batch, steps, d)
-    refined = mixed @ t["mha_wo"].transpose(1, 0)
+    refined = ag.linear(mixed, t["mha_wo"])
 
-    qf = refined @ t["out_wq"].transpose(1, 0)
+    qf = ag.linear(refined, t["out_wq"])
     scores = (qf @ kf) * (1.0 / math.sqrt(d))
     clipped = scores.tanh() * cfg.logit_clip
     logits = ag.where(avail, clipped, -np.inf)
@@ -414,10 +411,6 @@ class TraceBatch:
                     f"trace instance {inst.name!r} has {inst.n} jobs, the first has {n}:"
                     " all traces in a batch must share the job count"
                 )
-            try:
-                validate_permutation(np.array(tr.actions), n)
-            except ValidationError as exc:
-                raise DataError(f"corrupt trace for {inst.name!r}: {exc}") from exc
             graph = build_graph(inst, config.neighbor_fraction)
             feats.append(graph.features)
             nbrs.append(graph.neighbors)

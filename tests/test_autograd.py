@@ -6,6 +6,8 @@ import pytest
 from flowshop import autograd as ag
 from flowshop.autograd import Tensor
 
+from reference_ops import amax, div, relu, sigmoid, sqrt, sub
+
 
 def numeric_grad(fn, values: list[np.ndarray], eps: float = 1e-6) -> list[np.ndarray]:
     """Central finite differences of a scalar fn over a list of arrays."""
@@ -54,7 +56,7 @@ class TestElementwise:
         check_op(lambda ts: ((ts[0] + ts[1]) * (ts[0] + ts[1])).sum(), [(3, 4), (4,)])
 
     def test_sub_and_neg(self):
-        check_op(lambda ts: ((ts[0] - ts[1]) * ts[0]).sum(), [(2, 3), (2, 3)])
+        check_op(lambda ts: (sub(ts[0], ts[1]) * ts[0]).sum(), [(2, 3), (2, 3)])
 
     def test_mul_broadcast(self):
         check_op(lambda ts: (ts[0] * ts[1]).sum(), [(2, 3, 4), (4,)])
@@ -62,29 +64,36 @@ class TestElementwise:
     def test_div(self):
         def build(ts):
             denom = ts[1] * ts[1] + 1.0  # keep away from zero
-            return (ts[0] / denom).sum()
+            return div(ts[0], denom).sum()
 
         check_op(build, [(3, 3), (3, 3)])
 
     def test_sqrt(self):
         def build(ts):
             sq = ts[0] * ts[0] + 0.5
-            return sq.sqrt().sum()
+            return sqrt(sq).sum()
 
         check_op(build, [(4,)])
 
     def test_nonlinearities(self):
-        check_op(lambda ts: (ts[0].tanh() + ts[0].sigmoid() + ts[0].relu()).sum(), [(5, 2)], seed=3)
+        check_op(lambda ts: (ts[0].tanh() + sigmoid(ts[0]) + relu(ts[0])).sum(), [(5, 2)], seed=3)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_relu_pins_zeros_and_nan(self, dtype):
-        x = Tensor(np.array([-0.0, -1.0, 0.0, 2.0, np.nan], dtype=dtype), requires_grad=True)
-        out = x.relu()
-        assert out.data.dtype == dtype
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 2.0, np.nan])
-        assert not np.signbit(out.data[:3]).any()  # -0.0 comes out +0.0
+        # the relu inside residual_normalize, with no normalization, taped and in place
+        pre = np.array([-0.0, -1.0, 0.0, 2.0, np.nan], dtype=dtype)
+        res = Tensor(np.zeros(5, dtype=dtype), requires_grad=True)
+        x = Tensor(pre.copy(), requires_grad=True)
+        with ag.no_grad():
+            in_place = ag.residual_normalize(res, Tensor(pre.copy()), None, None, (), 0.0)[0]
+        out = ag.residual_normalize(res, x, None, None, (), 0.0)[0]
+        for y in (out, in_place):
+            assert y.data.dtype == dtype
+            np.testing.assert_array_equal(y.data, [0.0, 0.0, 0.0, 2.0, np.nan])
+            assert not np.signbit(y.data[:3]).any()  # -0.0 comes out +0.0
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(res.grad, np.ones(5))
 
 
 class TestMatmul:
@@ -99,15 +108,30 @@ class TestMatmul:
         [
             # the edge-layer shape: (B, n, k, d) @ (d, d')
             (lambda ts: ((ts[0] @ ts[1]) * (ts[0] @ ts[1])).sum(), [(2, 3, 2, 4), (4, 5)]),
-            # the policy's form: x @ W.T with W stored as (out, in)
+            # x @ W.T with W stored as (out, in), through a transpose node
             (lambda ts: _square(ts[0] @ ts[1].transpose(1, 0)).sum(), [(2, 3, 4), (5, 4)]),
             # a non-contiguous left operand
             (lambda ts: _square(ts[0].transpose(0, 2, 1) @ ts[1]).sum(), [(2, 4, 3), (4, 5)]),
+            # the policy's form: the same x @ W.T as one node
+            (lambda ts: _square(ag.linear(ts[0], ts[1])).sum(), [(2, 3, 4), (5, 4)]),
         ],
-        ids=["edge-4d", "transposed-weight", "noncontiguous-lhs"],
+        ids=["edge-4d", "transposed-weight", "noncontiguous-lhs", "linear"],
     )
     def test_folded_2d_weight(self, build, shapes):
         check_op(build, shapes)
+
+    def test_linear_is_the_transposed_weight_bit_for_bit(self):
+        # one node with the same GEMM operands as x @ w.transpose(1, 0)
+        rng = np.random.Generator(np.random.PCG64(2))
+        arrays = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4))
+        results = []
+        for op in (ag.linear, lambda x, w: x @ w.transpose(1, 0)):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(*leaves)
+            _square(out).sum().backward()
+            results.append([out.data, *(t.grad for t in leaves)])
+        for got, ref in zip(*results):
+            np.testing.assert_array_equal(got, ref)
 
     def test_batched_both(self):
         check_op(lambda ts: (ts[0] @ ts[1]).sum(), [(2, 3, 4), (2, 4, 2)])
@@ -125,10 +149,10 @@ class TestReductions:
         check_op(lambda ts: (ts[0].mean(axis=(0, 1)) * ts[0].mean(axis=(0, 1))).sum(), [(2, 3, 4)])
 
     def test_max_routes_to_argmax(self):
-        check_op(lambda ts: (ts[0].max(axis=1) * ts[0].max(axis=1)).sum(), [(4, 5)], seed=7)
+        check_op(lambda ts: (amax(ts[0], axis=1) * amax(ts[0], axis=1)).sum(), [(4, 5)], seed=7)
 
     def test_max_keepdims(self):
-        check_op(lambda ts: _square(ts[0] - ts[0].max(axis=-1, keepdims=True)).sum(), [(3, 4)], seed=8)
+        check_op(lambda ts: _square(sub(ts[0], amax(ts[0], axis=-1, keepdims=True))).sum(), [(3, 4)], seed=8)
 
 
 class TestSoftmaxFamily:
@@ -190,54 +214,71 @@ class TestShapeOps:
 
 
 def composed_normalize(x, gamma, beta, axes, eps, stats=None):
-    """The normalization chain of plain ops that ``ag.normalize`` fuses."""
+    """The normalization chain of plain ops inside ``ag.residual_normalize``."""
     if stats is None:
         mu = x.mean(axis=axes, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=axes, keepdims=True)
+        var = (sub(x, mu) * sub(x, mu)).mean(axis=axes, keepdims=True)
     else:
         mu, var = (Tensor(s) for s in stats)
-    xhat = (x - mu) / (var + eps).sqrt()
+    xhat = div(sub(x, mu), sqrt(var + eps))
     return xhat * gamma + beta, mu.data, var.data
 
 
-# (axes, whether the statistics are fixed): batch statistics of an edge-shaped
-# tensor, the same with fixed running statistics, and layer statistics
+def composed_residual_normalize(res, pre, gamma, beta, axes, eps, stats=None):
+    """The residual chain of plain ops that ``ag.residual_normalize`` fuses."""
+    if gamma is None:
+        return res + relu(pre), None, None
+    y, mu, var = composed_normalize(pre, gamma, beta, axes, eps, stats)
+    return res + relu(y), mu, var
+
+
+# (axes, whether the statistics are fixed, whether there is a normalization):
+# batch statistics of an edge-shaped tensor, the same with fixed running
+# statistics, layer statistics, and no normalization at all
 NORMALIZE_CASES = {
-    "batch": ((0, 1, 2), False),
-    "fixed-stats": ((0, 1, 2), True),
-    "layer": ((-1,), False),
+    "batch": ((0, 1, 2), False, True),
+    "fixed-stats": ((0, 1, 2), True, True),
+    "layer": ((-1,), False, True),
+    "none": ((), False, False),
 }
 
 
 class TestNormalize:
-    """The fused normalization against the composed chain it replaces."""
+    """The fused residual normalization of a leaf against the composed chain it replaces."""
 
     SHAPE = (3, 4, 2, 5)
 
     @staticmethod
-    def _inputs(dtype, fixed):
+    def _inputs(dtype, fixed, affine):
         rng = np.random.Generator(np.random.PCG64(11))
-        x = rng.normal(0.5, 2.0, size=TestNormalize.SHAPE)
+        res, x = rng.normal(size=TestNormalize.SHAPE), rng.normal(0.5, 2.0, size=TestNormalize.SHAPE)
         gamma, beta = rng.normal(1.0, 0.3, size=5), rng.normal(0.0, 0.3, size=5)
         weights = rng.normal(size=TestNormalize.SHAPE).astype(dtype)
         stats = (rng.normal(0.5, 1.0, size=5), rng.uniform(0.5, 4.0, size=5)) if fixed else None
         if stats is not None:
             stats = tuple(s.astype(dtype) for s in stats)
-        return [a.astype(dtype) for a in (x, gamma, beta)], weights, stats
+        arrays = (res, x, gamma, beta) if affine else (res, x)
+        return [a.astype(dtype) for a in arrays], weights, stats
+
+    @staticmethod
+    def _call(op, leaves, axes, stats):
+        res, x, *affine = leaves
+        return op(res, x, *(affine or (None, None)), axes, 1e-5, stats=stats)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("axes, fixed", NORMALIZE_CASES.values(), ids=NORMALIZE_CASES.keys())
-    def test_matches_composed(self, axes, fixed, dtype):
-        arrays, weights, stats = self._inputs(dtype, fixed)
+    @pytest.mark.parametrize("axes, fixed, affine", NORMALIZE_CASES.values(), ids=NORMALIZE_CASES.keys())
+    def test_matches_composed(self, axes, fixed, affine, dtype):
+        arrays, weights, stats = self._inputs(dtype, fixed, affine)
         results = []
-        for op in (ag.normalize, composed_normalize):
+        for op in (ag.residual_normalize, composed_residual_normalize):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            y, mu, var = op(*leaves, axes, 1e-5, stats=stats)
+            y, mu, var = self._call(op, leaves, axes, stats)
             (y * weights).sum().backward()
             results.append(([y.data, mu, var], [t.grad for t in leaves]))
         (forward, grads), (ref_forward, ref_grads) = results
         for got, ref in zip(forward, ref_forward):  # the same numpy ops in the same order
-            assert got.dtype == dtype
+            if affine:
+                assert got.dtype == dtype
             np.testing.assert_array_equal(got, ref)
         for got, ref in zip(grads, ref_grads):  # the backward sums in another order
             assert got.dtype == dtype
@@ -246,13 +287,35 @@ class TestNormalize:
             else:
                 np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("axes, fixed", NORMALIZE_CASES.values(), ids=NORMALIZE_CASES.keys())
-    def test_numeric_gradient(self, axes, fixed):
-        _, weights, stats = self._inputs(np.float64, fixed)
+    @pytest.mark.parametrize("axes, fixed, affine", NORMALIZE_CASES.values(), ids=NORMALIZE_CASES.keys())
+    def test_numeric_gradient(self, axes, fixed, affine):
+        arrays, weights, stats = self._inputs(np.float64, fixed, affine)
         check_op(
-            lambda ts: (ag.normalize(ts[0], ts[1], ts[2], axes, 1e-5, stats=stats)[0] * weights).sum(),
-            [self.SHAPE, (5,), (5,)],
+            lambda ts: (self._call(ag.residual_normalize, ts, axes, stats)[0] * weights).sum(),
+            [a.shape for a in arrays],
         )
+
+    @pytest.mark.parametrize("axes, fixed, affine", NORMALIZE_CASES.values(), ids=NORMALIZE_CASES.keys())
+    def test_no_grad_writes_the_taped_result_into_pre(self, axes, fixed, affine):
+        arrays, _, stats = self._inputs(np.float64, fixed, affine)
+        taped = self._call(ag.residual_normalize, [Tensor(a, requires_grad=True) for a in arrays], axes, stats)
+        leaves = [Tensor(a.copy()) for a in arrays]
+        with ag.no_grad():
+            untaped = self._call(ag.residual_normalize, leaves, axes, stats)
+        assert np.shares_memory(untaped[0].data, leaves[1].data)
+        np.testing.assert_array_equal(untaped[0].data, taped[0].data)
+        for got, ref in zip(untaped[1:], taped[1:]):  # mu and var, or None without a normalization
+            assert (got is None) == (ref is None) == (not affine)
+            if affine:
+                np.testing.assert_array_equal(got, ref)
+
+    def test_pre_read_elsewhere_keeps_its_gradient(self):
+        # the absorbed node that made pre still runs its own backward for pre's other reader
+        def build(ts):
+            pre = ts[1] * ts[2]
+            return _square(ag.residual_normalize(ts[0], pre, None, None, (), 0.0)[0] + pre).sum()
+
+        check_op(build, [(3, 4), (3, 4), (3, 4)])
 
 
 @pytest.mark.parametrize("rows, dim", [(3, 5), (5, 5), (8, 5)], ids=["N<D", "N=D", "N>D"])
@@ -272,9 +335,9 @@ def test_scatter_rows_matches_add_at(rows, dim):
 def composed_gated_message(e, ch, nbr, aggregation, gather=ag.gather_rows):
     """The gated message chain of plain ops that ``ag.gated_message`` fuses."""
     batch, n, k = nbr.shape
-    msg = e.sigmoid() * gather(ch, nbr.reshape(batch, n * k)).reshape(batch, n, k, -1)
+    msg = sigmoid(e) * gather(ch, nbr.reshape(batch, n * k)).reshape(batch, n, k, -1)
     if aggregation == "max":
-        return msg.max(axis=2)
+        return amax(msg, axis=2)
     return msg.mean(axis=2) if aggregation == "mean" else msg.sum(axis=2)
 
 
@@ -308,6 +371,48 @@ LAYER_OPS = {
         [(2, 4, 3, 4), (2, 4, 5), (3, 4), (3, 5), (3, 5)],
     ),
 }
+
+
+def _edge_residual(ts, kind, fused):
+    """e + relu(Nm(edge pre-activation of e and h)) of width 3; ts: e, h, wd, we, wf[, gamma, beta]."""
+    e, h, wd, we, wf, *affine = ts
+    pre = (ag.edge_preactivation if fused else composed_edge_preactivation)(e, h, wd, we, wf, LAYER_NBR)
+    return _residual(e, pre, affine, kind, fused)
+
+
+def _node_residual(ts, kind, fused):
+    """h + relu(Nm(h B.T + mean-message of e and h C.T)) of width 3; ts: h, e, wb, wc[, gamma, beta]."""
+    h, e, wb, wc, *affine = ts
+    if fused:
+        pre = ag.linear(h, wb) + ag.gated_message(e, ag.linear(h, wc), LAYER_NBR, "mean")
+    else:
+        pre = h @ wb.transpose(1, 0) + composed_gated_message(e, h @ wc.transpose(1, 0), LAYER_NBR, "mean")
+    return _residual(h, pre, affine, kind, fused)
+
+
+RESIDUAL_STATS = (np.array([0.3, -0.2, 0.5]), np.array([0.8, 1.5, 2.5]))  # fixed (mu, var) of width 3
+
+
+def _residual(res, pre, affine, kind, fused):
+    """The policy's four normalizations: batch (from the batch, or fixed running stats), layer, none."""
+    axes = tuple(range(pre.data.ndim - 1)) if kind in ("batch", "fixed-stats") else (-1,)
+    stats = tuple(s.astype(pre.data.dtype) for s in RESIDUAL_STATS) if kind == "fixed-stats" else None
+    op = ag.residual_normalize if fused else composed_residual_normalize
+    return op(res, pre, *(affine or (None, None)), axes, 1e-5, stats=stats)[0]
+
+
+for _kind, (_, _, _affine) in NORMALIZE_CASES.items():
+    _affine_shapes = [(3,), (3,)] if _affine else []
+    LAYER_OPS[f"residual-edge-{_kind}"] = (
+        lambda ts, kind=_kind: _edge_residual(ts, kind, fused=True),
+        lambda ts, kind=_kind: _edge_residual(ts, kind, fused=False),
+        [(2, 4, 3, 3), (2, 4, 5), (3, 3), (3, 5), (3, 5), *_affine_shapes],
+    )
+    LAYER_OPS[f"residual-node-{_kind}"] = (
+        lambda ts, kind=_kind: _node_residual(ts, kind, fused=True),
+        lambda ts, kind=_kind: _node_residual(ts, kind, fused=False),
+        [(2, 4, 3), (2, 4, 3, 3), (3, 3), (3, 3), *_affine_shapes],
+    )
 
 
 class TestLayerOps:
@@ -392,21 +497,22 @@ FLOAT32_OPS = {
     "add-scalar": (lambda ts: ts[0] + 1.5, [(3, 4)]),
     "add-broadcast": (lambda ts: ts[0] + ts[1], [(3, 4), (4,)]),
     "radd": (lambda ts: 1.5 + ts[0], [(3,)]),
-    "sub": (lambda ts: ts[0] - ts[1], [(3, 4), (3, 4)]),
-    "rsub": (lambda ts: 2.0 - ts[0], [(3,)]),
+    "sub": (lambda ts: sub(ts[0], ts[1]), [(3, 4), (3, 4)]),
+    "rsub": (lambda ts: sub(2.0, ts[0]), [(3,)]),
     "neg": (lambda ts: -ts[0], [(3,)]),
     "mul-scalar": (lambda ts: ts[0] * 0.1, [(3, 4)]),
     "mul-broadcast": (lambda ts: ts[0] * ts[1], [(2, 3, 4), (4,)]),
-    "div": (lambda ts: ts[0] / ts[1], [(3, 4), (3, 4)]),
+    "div": (lambda ts: div(ts[0], ts[1]), [(3, 4), (3, 4)]),
     "matmul": (lambda ts: ts[0] @ ts[1], [(2, 3, 4), (2, 4, 2)]),
     "matmul-2d-weight": (lambda ts: ts[0] @ ts[1].transpose(1, 0), [(2, 3, 4), (5, 4)]),
-    "sqrt": (lambda ts: ts[0].sqrt(), [(4,)]),
-    "relu": (lambda ts: (ts[0] - 1.0).relu(), [(5,)]),
-    "sigmoid": (lambda ts: ts[0].sigmoid(), [(5,)]),
+    "linear": (lambda ts: ag.linear(ts[0], ts[1]), [(2, 3, 4), (5, 4)]),
+    "sqrt": (lambda ts: sqrt(ts[0]), [(4,)]),
+    "relu": (lambda ts: relu(sub(ts[0], 1.0)), [(5,)]),
+    "sigmoid": (lambda ts: sigmoid(ts[0]), [(5,)]),
     "tanh": (lambda ts: ts[0].tanh(), [(5,)]),
     "sum": (lambda ts: ts[0].sum(axis=(0, 1), keepdims=True), [(2, 3, 4)]),
     "mean": (lambda ts: ts[0].mean(axis=(0, 1)), [(2, 3, 4)]),
-    "max": (lambda ts: ts[0].max(axis=1), [(3, 4)]),
+    "max": (lambda ts: amax(ts[0], axis=1), [(3, 4)]),
     "softmax": (lambda ts: ts[0].softmax(axis=-1) * ts[1], [(3, 5), (3, 5)]),
     "log-softmax": (lambda ts: ts[0].log_softmax(axis=-1) * ts[1], [(3, 5), (3, 5)]),
     "reshape": (lambda ts: ts[0].reshape(6, 2), [(2, 3, 2)]),
@@ -416,7 +522,10 @@ FLOAT32_OPS = {
     "where-constant": (lambda ts: ag.where(np.array([True, False, True]), ts[0], -np.inf), [(3,)]),
     "where": (lambda ts: ag.where(np.array([True, False]), ts[0], ts[1]), [(2,), (2,)]),
     "gather-rows": (lambda ts: ag.gather_rows(ts[0], np.array([[0, 0, 3], [2, 2, 1]])), [(2, 4, 3)]),
-    "normalize": (lambda ts: ag.normalize(ts[0], ts[1], ts[2], (0, 1), 1e-5)[0], [(2, 3, 4), (4,), (4,)]),
+    "normalize": (
+        lambda ts: ag.residual_normalize(ts[0], ts[1], ts[2], ts[3], (0, 1), 1e-5)[0],
+        [(2, 3, 4), (2, 3, 4), (4,), (4,)],
+    ),
     **{name: (fused, shapes) for name, (fused, _, shapes) in LAYER_OPS.items()},
 }
 
@@ -449,7 +558,7 @@ SHARED_INPUT_CASES = {
     "broadcast sum": lambda u, v, y: u.sum(axis=0) * v + y,
     "reshape": lambda u, v, y: u.reshape(4, 3) + (v + y).reshape(4, 3),
     "transpose": lambda u, v, y: u.transpose(1, 0) @ (v * y),
-    "normalize(x) + x": lambda u, v, y: ag.normalize(u, y, y, (0,), 1e-5)[0] + v,
+    "normalize(x) + x": lambda u, v, y: ag.residual_normalize(v, u, y, y, (0,), 1e-5)[0],
     # e and ch, and e and h, from one input: (B, n, k, d) = (1, 3, 1, 4)
     "gated_message(x, x)": lambda u, v, y: ag.gated_message(
         u.reshape(1, 3, 1, 4), v.reshape(1, 3, 4), SHARED_NBR, "mean"

@@ -125,6 +125,12 @@ class TestExpertTrace:
         with pytest.raises(ValidationError):
             record_expert_traces([inst], expert=broken)
 
+    def test_record_rejects_fractional_expert(self, rng):
+        # checked before the actions become ints, which would read 1.5 as a valid 1
+        inst = random_instance(rng, n=4, m=2)
+        with pytest.raises(ValidationError, match="integers"):
+            record_expert_traces([inst], expert=lambda instance: (np.array([0.0, 1.5, 2.0, 3.0]), 0.0))
+
     def test_corpus_shape(self):
         insts = generate(DatasetSpec(count=16, jobs=20, machines=5, seed=8))
         traces = record_expert_traces(insts)
