@@ -20,7 +20,6 @@ from .exact import brute_force, check_mip_solution, emit_mip, permutation_embedd
 from .env import ExpertTrace, ScheduleState, mask, record_expert_traces, reset, step
 from .heuristics import (
     HeuristicBudget,
-    IgParams,
     iterated_greedy,
     iterated_local_search,
     local_search_insert,

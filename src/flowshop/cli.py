@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .core import gap_percent
+from .env import load_traces, record_expert_traces
 from .errors import DataError, FlowshopError, NumericError, ValidationError
 from .exact import brute_force, emit_mip
 from .harness import (
@@ -35,6 +36,7 @@ from .harness import (
     sweep_machines,
     sweep_sigma,
 )
+from .heuristics import neh
 from .instances import DatasetSpec, generate, load_dataset, save_dataset
 from .policy import PolicyConfig
 from .training import TrainConfig, train
@@ -152,12 +154,8 @@ def _cmd_train(args) -> int:
     if not instances:
         raise DataError("empty dataset")
     if getattr(args, "traces", None):
-        from .env import load_traces
-
         traces = load_traces(args.traces, instances)
     else:
-        from .env import record_expert_traces
-
         traces = record_expert_traces(instances)
     policy = PolicyConfig(
         machines=instances[0].m,
@@ -240,8 +238,6 @@ def _cmd_brute_force(args) -> int:
     perm, value = brute_force(inst)
     payload = {"instance": inst.name, "permutation": [int(v) for v in perm], "makespan": value}
     if args.neh_gap:
-        from .heuristics import neh
-
         payload["neh_makespan"] = neh(inst)[1]
         payload["neh_gap_pct"] = gap_percent(payload["neh_makespan"], value)
     _write(args, json.dumps(payload, indent=2))

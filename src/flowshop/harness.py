@@ -29,7 +29,6 @@ from .core import Instance, gap_percent, makespan
 from .errors import DataError, ValidationError
 from .heuristics import (
     HeuristicBudget,
-    IgParams,
     _is_number,
     iterated_greedy,
     iterated_local_search,
@@ -37,7 +36,7 @@ from .heuristics import (
     random_search,
 )
 from .instances import DatasetSpec, generate
-from .policy import rollout_greedy
+from .policy import _check_machines, rollout_greedy
 from .stats import wilcoxon_signed_rank
 from .training import load_checkpoint
 
@@ -61,8 +60,9 @@ __all__ = [
 # NEH, so their inner descents are budget-capped by default. This table is
 # the only source of defaults and names every key a method reads: a
 # max_time of None sets no time limit, and an IG acceptance temperature of
-# None resolves per instance in IgParams. The solver adapters read its keys
-# without fallbacks, and every caller passes parameters merged from it.
+# None resolves per instance in iterated_greedy. The solver adapters read
+# its keys without fallbacks, and every caller passes parameters merged
+# from it.
 DEFAULT_METHOD_PARAMS: dict[str, dict] = {
     "rs": {"iterations": 100, "max_time": None},
     "ils": {"iterations": 3, "max_time": None, "inner_iterations": 10, "perturbation_strength": 2},
@@ -161,14 +161,10 @@ def _ils(inst: Instance, seed: int, params: dict):
 
 
 def _ig(inst: Instance, seed: int, params: dict):
-    ig = IgParams(
-        d_jobs=params["d_jobs"],
-        acceptance_temperature=params["acceptance_temperature"],
-        budget=_budget(params, seed),
-        init=params["init"],
-        inner_iterations=params["inner_iterations"],
+    budget = _budget(params, seed)
+    return iterated_greedy(
+        inst, budget, params["d_jobs"], params["acceptance_temperature"], params["init"], params["inner_iterations"]
     )
-    return iterated_greedy(inst, ig)
 
 
 def _policy(inst: Instance, seed: int, params: dict):
@@ -287,6 +283,8 @@ def evaluate_policy_rows(checkpoint_path: str, instances: list[Instance]) -> Rep
     if not instances:
         raise DataError("empty dataset")
     model, manifest = load_checkpoint(checkpoint_path)
+    for inst in instances:  # before NEH runs on the whole dataset
+        _check_machines(model.config, inst.m, f"instance {inst.name!r}")
     expert = _method_makespans(instances, "neh", {}, 0)
     per_seed = [_method_makespans(instances, "policy", {"model": model}, 0)]
     row = _build_row("policy", instances, per_seed, expert, {"checkpoint_epoch": manifest.get("epoch")})
@@ -303,12 +301,16 @@ def _sweep(axis: str, specs: list[DatasetSpec], method_a: str, method_b: str, se
     """Both methods' rows on each spec's dataset, gaps vs NEH, tagged with the spec's ``axis`` value.
 
     A method is a heuristic name or ``policy:<ckpt>``; the checkpoint is
-    loaded once for the whole sweep.
+    loaded once for the whole sweep and checked against every spec's
+    machine count before any solver runs.
     """
     arms = []
     for method in (method_a, method_b):
         if method.startswith("policy:"):
-            arms.append((method, "policy", {"model": load_checkpoint(method.split(":", 1)[1])[0]}))
+            model = load_checkpoint(method.split(":", 1)[1])[0]
+            for spec in specs:
+                _check_machines(model.config, spec.machines, f"the {axis}={getattr(spec, axis)} dataset")
+            arms.append((method, "policy", {"model": model}))
         elif method in HEURISTIC_METHODS:
             arms.append((method, method, DEFAULT_METHOD_PARAMS[method]))
         else:

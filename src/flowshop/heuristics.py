@@ -20,7 +20,6 @@ from .errors import ValidationError
 
 __all__ = [
     "HeuristicBudget",
-    "IgParams",
     "random_search",
     "local_search_insert",
     "iterated_local_search",
@@ -54,36 +53,6 @@ class HeuristicBudget:
             raise ValidationError(f"max_iterations must be an integer >= 0, not {iterations!r}")
         if seconds is not None and not (_is_number(seconds, numbers.Real) and 0 < seconds < math.inf):
             raise ValidationError(f"max_time must be a positive number and finite, not {seconds!r}")
-
-
-@dataclass(frozen=True)
-class IgParams:
-    """Iterated-greedy knobs: destruction size, SA temperature, budget.
-
-    ``acceptance_temperature=None`` resolves to mean(x)/10 for the
-    instance at hand. ``init`` selects the starting permutation: "random"
-    (default, reproduces the expected quality ordering against NEH) or
-    "neh" for the NEH-seeded variant. ``inner_iterations`` truncates the
-    per-iteration descent (None = run it to a local optimum).
-    """
-
-    d_jobs: int = 4
-    acceptance_temperature: float | None = None
-    budget: HeuristicBudget = HeuristicBudget(max_iterations=30)
-    init: str = "random"
-    inner_iterations: int | None = None
-
-    def __post_init__(self):
-        if not (_is_number(self.d_jobs, numbers.Integral) and self.d_jobs >= 1):
-            raise ValidationError(f"d_jobs must be an integer >= 1, not {self.d_jobs!r}")
-        temperature = self.acceptance_temperature
-        if temperature is not None and not (_is_number(temperature, numbers.Real) and temperature >= 0):
-            raise ValidationError(f"acceptance_temperature must be a non-negative number, not {temperature!r}")
-        if self.init not in ("random", "neh"):
-            raise ValidationError(f"unknown init {self.init!r}")
-        inner = self.inner_iterations
-        if inner is not None and not (_is_number(inner, numbers.Integral) and inner >= 1):
-            raise ValidationError(f"inner_iterations must be an integer >= 1, not {inner!r}")
 
 
 def insertion_makespans(times: np.ndarray, seq, job: int) -> np.ndarray:
@@ -260,7 +229,14 @@ def iterated_local_search(
     return best_perm, best
 
 
-def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float]:
+def iterated_greedy(
+    inst: Instance,
+    budget: HeuristicBudget,
+    d_jobs: int = 4,
+    acceptance_temperature: float | None = None,
+    init: str = "random",
+    inner_iterations: int | None = None,
+) -> tuple[np.ndarray, float]:
     """Destruction/construction loop with SA-style constant-temperature acceptance.
 
     Each iteration removes ``d_jobs`` random jobs from the incumbent,
@@ -268,18 +244,30 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
     tying position, :func:`_best_position`), runs the
     insertion descent, then accepts improvements always and worsenings
     with probability exp(-delta/T). Returns the best visited solution.
+    ``acceptance_temperature=None`` resolves to mean(x)/10 for the
+    instance at hand. ``init`` selects the starting permutation: "random"
+    (default, reproduces the expected quality ordering against NEH) or
+    "neh" for the NEH-seeded variant. ``inner_iterations`` truncates each
+    descent (None = run it to a local optimum).
     """
-    if params.d_jobs >= inst.n:
-        raise ValidationError(f"d_jobs={params.d_jobs} must be < n={inst.n}")
-    budget = params.budget
+    if not (_is_number(d_jobs, numbers.Integral) and d_jobs >= 1):
+        raise ValidationError(f"d_jobs must be an integer >= 1, not {d_jobs!r}")
+    temperature = acceptance_temperature
+    if temperature is not None and not (_is_number(temperature, numbers.Real) and temperature >= 0):
+        raise ValidationError(f"acceptance_temperature must be a non-negative number, not {temperature!r}")
+    if init not in ("random", "neh"):
+        raise ValidationError(f"unknown init {init!r}")
+    if inner_iterations is not None and not (_is_number(inner_iterations, numbers.Integral) and inner_iterations >= 1):
+        raise ValidationError(f"inner_iterations must be an integer >= 1, not {inner_iterations!r}")
+    if d_jobs >= inst.n:
+        raise ValidationError(f"d_jobs={d_jobs} must be < n={inst.n}")
     rng = np.random.Generator(np.random.PCG64(budget.rng_seed))
     iterations, deadline = _limits(budget)
-    inner = None if params.inner_iterations is None else HeuristicBudget(max_iterations=params.inner_iterations)
-    temperature = params.acceptance_temperature
+    inner = None if inner_iterations is None else HeuristicBudget(max_iterations=inner_iterations)
     if temperature is None:
         temperature = float(inst.times.mean()) / 10.0
 
-    if params.init == "neh":
+    if init == "neh":
         cur_perm, cur = neh(inst)
         cur_perm = cur_perm.tolist()
     else:
@@ -290,7 +278,7 @@ def iterated_greedy(inst: Instance, params: IgParams) -> tuple[np.ndarray, float
     it = 0
     while it < iterations:
         it += 1
-        removed_idx = rng.choice(inst.n, size=params.d_jobs, replace=False)
+        removed_idx = rng.choice(inst.n, size=d_jobs, replace=False)
         removed_jobs = [cur_perm[i] for i in sorted(removed_idx)]
         removed = set(removed_idx)
         partial = [j for i, j in enumerate(cur_perm) if i not in removed]

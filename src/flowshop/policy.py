@@ -93,14 +93,21 @@ class PolicyConfig:
             raise ValidationError(f"normalization must be one of {NORMALIZATIONS}")
 
 
+def _check_machines(config: PolicyConfig, machines: int, what: str) -> None:
+    """The one machine-count check: ``what`` has ``machines`` machines, which must be the model's."""
+    if machines != config.machines:
+        raise ValidationError(f"{what} has {machines} machines, model expects {config.machines}")
+
+
 class PolicyParams:
     """Learnable tensors plus batch-norm running statistics.
 
     Weight matrices are stored in their mathematical orientation
     (output rows, input columns) and applied as x @ W.T. Everything is
-    initialized uniform in [-1/sqrt(d), 1/sqrt(d)], in float64; the
-    forward and backward passes compute in the tensors' dtype, which
-    ``training.train`` rounds to float32.
+    initialized uniform in [-1/sqrt(d), 1/sqrt(d)], in the float64 of the
+    gradient checks; the forward and backward passes compute in the
+    tensors' dtype. ``training.train`` rounds them to float32, and a
+    checkpoint loads as the float32 it stores.
     """
 
     def __init__(self, config: PolicyConfig, tensors: dict[str, Tensor], buffers: dict[str, np.ndarray]):
@@ -325,10 +332,7 @@ def _decode(params: PolicyParams, h_nodes: Tensor, h_graph: Tensor, keys, first,
 
 def encode(params: PolicyParams, graph: JobGraph) -> Activations:
     """Embed one job graph in eval mode; per-layer activations are kept for inspection."""
-    if graph.features.shape[1] != params.config.machines:
-        raise ValidationError(
-            f"graph has {graph.features.shape[1]} machines, model expects {params.config.machines}"
-        )
+    _check_machines(params.config, graph.features.shape[1], "graph")
     with ag.no_grad():
         node_layers, edge_layers, h_nodes, h_graph = _encode_core(
             params, graph.features[None], graph.neighbors[None], graph.distances[None], "eval"
@@ -367,8 +371,7 @@ def decode_step(params: PolicyParams, acts: Activations, state: ScheduleState) -
 
 def rollout_greedy(params: PolicyParams, inst: Instance) -> np.ndarray:
     """Greedy argmax decode of a full permutation (ties pick the lowest index)."""
-    if inst.m != params.config.machines:
-        raise ValidationError(f"instance {inst.name!r} has {inst.m} machines, model expects {params.config.machines}")
+    _check_machines(params.config, inst.m, f"instance {inst.name!r}")
     if inst.n == 1:
         return np.zeros(1, dtype=np.int64)
     acts = encode(params, build_graph(inst, params.config.neighbor_fraction))
@@ -402,10 +405,7 @@ class TraceBatch:
         feats, nbrs, dists, actions = [], [], [], []
         for tr in traces:
             inst = tr.instance
-            if inst.m != config.machines:
-                raise ValidationError(
-                    f"trace instance {inst.name!r} has {inst.m} machines, model expects {config.machines}"
-                )
+            _check_machines(config, inst.m, f"trace instance {inst.name!r}")
             if inst.n != n:
                 raise ValidationError(
                     f"trace instance {inst.name!r} has {inst.n} jobs, the first has {n}:"

@@ -4,14 +4,15 @@ Training is plain supervised learning on expert traces: shuffled
 instance batches, one Adam step per batch, learning rate decayed by a
 constant factor each epoch. The trained parameters, their gradients and
 Adam's moments are float32, so the step moves half the bytes of the
-float64 reference path that gradient checks and checkpoint inference use.
-After every epoch the greedy policy is rolled out on a validation set and
-its mean makespan gap against the expert is logged (newline-delimited
-JSON records).
+float64 path that the gradient checks use. After every epoch the greedy
+policy is rolled out on a validation set and its mean makespan gap
+against the expert is logged (newline-delimited JSON records).
 
 Checkpoints are a single file: one JSON manifest line (format version,
 architecture, epoch, metrics, per-tensor offsets) followed by packed
 little-endian float32 tensors, parameters and batch-norm buffers alike.
+A checkpoint loads as the float32 it stores, so validation during
+training and every decode of a saved model run in one dtype.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .env import ExpertTrace
 from .errors import DataError, ValidationError
 from .heuristics import neh
 from .instances import _header_size, _read_container, _write_container
-from .policy import PolicyConfig, PolicyParams, TraceBatch, bc_loss, rollout_greedy
+from .policy import PolicyConfig, PolicyParams, TraceBatch, _check_machines, bc_loss, rollout_greedy
 
 __all__ = [
     "TrainConfig",
@@ -109,8 +110,9 @@ def train(
 ) -> tuple[PolicyParams, list[dict]]:
     """Clone the expert from traces; returns trained params and epoch history.
 
-    Every trace must have the model's machine count and the first trace's
-    job count, else ``ValidationError``. Deterministic for a fixed seed:
+    Every trace and validation instance must have the model's machine
+    count, and every trace the first trace's job count; a mismatch is a
+    ``ValidationError`` before the first step. Deterministic for a fixed seed:
     initialization and batch shuffling draw from one PCG64 stream. When a
     validation set is given (optionally with precomputed expert makespans),
     each epoch records the greedy rollout gap; history rows mirror the
@@ -120,8 +122,8 @@ def train(
         raise ValidationError("cannot train on an empty trace set")
     # graphs never change, so the whole corpus is assembled once
     corpus = TraceBatch.from_traces(traces, config.policy)
-    if val_instances and expert_makespans is None:
-        expert_makespans = np.array([neh(inst)[1] for inst in val_instances])
+    if val_instances:
+        expert_makespans = _expert_reference(config.policy, val_instances, expert_makespans)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = PolicyParams.init(config.policy, seed=config.seed)
@@ -183,12 +185,7 @@ def evaluate(
     expert_makespans: np.ndarray | None = None,
 ) -> dict:
     """Greedy-rollout report: per-instance makespans and gaps vs the expert."""
-    if expert_makespans is None:
-        expert_makespans = np.array([neh(inst)[1] for inst in instances])
-    expert_makespans = np.asarray(expert_makespans, dtype=np.float64)
-    if expert_makespans.shape != (len(instances),):
-        raise ValidationError("expert_makespans must align with the instance list")
-
+    expert_makespans = _expert_reference(params.config, instances, expert_makespans)
     started = time.perf_counter()
     makespans = np.empty(len(instances))
     for idx, inst in enumerate(instances):
@@ -203,6 +200,19 @@ def evaluate(
         "mean_gap_pct": float(gaps.mean()),
         "time_s": elapsed,
     }
+
+
+def _expert_reference(config: PolicyConfig, instances: list[Instance], expert_makespans) -> np.ndarray:
+    """The expert makespan of each instance, NEH's unless given, after checking that
+    every instance has the model's machine count and that given makespans align."""
+    for inst in instances:
+        _check_machines(config, inst.m, f"instance {inst.name!r}")
+    if expert_makespans is None:
+        return np.array([neh(inst)[1] for inst in instances])
+    expert_makespans = np.asarray(expert_makespans, dtype=np.float64)
+    if expert_makespans.shape != (len(instances),):
+        raise ValidationError("expert_makespans must align with the instance list")
+    return expert_makespans
 
 
 def save_checkpoint(path, params: PolicyParams, epoch: int | None = None, metrics: dict | None = None) -> None:
@@ -229,7 +239,7 @@ def save_checkpoint(path, params: PolicyParams, epoch: int | None = None, metric
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, dict]:
-    """Inverse of :func:`save_checkpoint`; returns params and the manifest.
+    """Inverse of :func:`save_checkpoint`; returns float32 params and the manifest.
 
     A corrupt file raises ``DataError``: an unreadable manifest, a wrong
     format or version, a ``policy`` entry that is not a valid
@@ -267,7 +277,7 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
             raise DataError(f"checkpoint tensor {name!r} has {nbytes} bytes for shape {list(shape)}")
         if lo + nbytes > len(body):
             raise DataError("checkpoint body is shorter than the manifest claims")
-        data = np.frombuffer(body[lo : lo + nbytes], dtype="<f4").astype(np.float64).reshape(shape)
+        data = np.frombuffer(body[lo : lo + nbytes], dtype="<f4").astype(np.float32).reshape(shape)
         if kind == "param":
             tensors[name] = Tensor(data, requires_grad=True)
         else:

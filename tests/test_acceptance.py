@@ -18,7 +18,6 @@ from flowshop.exact import brute_force, check_mip_solution, permutation_embeddin
 from flowshop.harness import ExperimentConfig, solve_dataset
 from flowshop.heuristics import (
     HeuristicBudget,
-    IgParams,
     iterated_greedy,
     iterated_local_search,
     neh,
@@ -86,9 +85,7 @@ def test_criterion_1_makespan_oracle_equivalence():
         ]
         if n >= 3:
             heuristics.append(
-                iterated_greedy(
-                    inst, IgParams(d_jobs=2, budget=HeuristicBudget(max_iterations=3, rng_seed=idx))
-                )[1]
+                iterated_greedy(inst, HeuristicBudget(max_iterations=3, rng_seed=idx), d_jobs=2)[1]
             )
         assert all(opt <= h + 1e-9 for h in heuristics)
     elapsed = time.perf_counter() - started

@@ -153,6 +153,22 @@ class TestTrainEvalSweep:
         assert "Traceback" not in err
         assert not (tmp_path / "model.fsc").exists()
 
+    def test_machine_mismatch_is_data_error(self, dataset, tmp_path, capsys):
+        # the m=3 model against an m=4 validation set and an m=4 sweep spec
+        val = tmp_path / "m4.fsd"
+        save_dataset(val, generate(DatasetSpec(count=2, jobs=6, machines=4, seed=5)))
+        ckpt = tmp_path / "model.fsc"
+        save_checkpoint(ckpt, PolicyParams.init(TINY_POLICY))
+        train = ["train", "--dataset", str(dataset), "--val-dataset", str(val), "--epochs", "1",
+                 "--hidden-dim", "8", "--layers", "1", "--heads", "2", "--out", str(tmp_path / "trained.fsc")]
+        sweep = ["sweep-machines", "--machines-list", "3,4", "--method-a", f"policy:{ckpt}", "--method-b", "ig",
+                 "--count", "2", "--jobs", "5"]
+        for argv in (train, sweep, ["eval", "--checkpoint", str(ckpt), "--dataset", str(val)]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert "has 4 machines, model expects 3" in err and "Traceback" not in err
+        assert not (tmp_path / "trained.fsc").exists()
+
     def test_train_on_empty_dataset_is_data_error(self, tmp_path, capsys):
         ds = tmp_path / "empty.fsd"
         save_dataset(ds, [])

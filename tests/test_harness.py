@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowshop import harness
 from flowshop.core import Instance, gap_percent
 from flowshop.errors import DataError, ValidationError
 from flowshop.harness import (
@@ -196,12 +197,31 @@ class TestSolveDataset:
             solve_dataset(small_dataset(count=2), config)
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Every ``_method_makespans`` call: a machine-count mismatch must leave this empty."""
+    calls = []
+    run = harness._method_makespans
+    monkeypatch.setattr(harness, "_method_makespans", lambda *args: calls.append(args[1]) or run(*args))
+    return calls
+
+
+@pytest.fixture
+def m3_checkpoint(tmp_path):
+    path = tmp_path / "m3.fsc"
+    save_checkpoint(path, PolicyParams.init(TINY_POLICY))
+    return str(path)
+
+
 class TestEvaluatePolicyRows:
-    def test_machine_mismatch_rejected_for_one_job(self, tmp_path):
-        checkpoint = tmp_path / "m3.fsc"
-        save_checkpoint(checkpoint, PolicyParams.init(TINY_POLICY))
+    def test_machine_mismatch_rejected_for_one_job(self, m3_checkpoint):
         with pytest.raises(ValidationError, match="machines"):
-            evaluate_policy_rows(str(checkpoint), [Instance(np.ones((5, 1)))])
+            evaluate_policy_rows(m3_checkpoint, [Instance(np.ones((5, 1)))])
+
+    def test_machine_mismatch_rejected_before_any_solver(self, m3_checkpoint, solver_calls):
+        with pytest.raises(ValidationError, match="has 4 machines, model expects 3"):
+            evaluate_policy_rows(m3_checkpoint, small_dataset(count=3, machines=3) + small_dataset(count=1, machines=4))
+        assert solver_calls == []
 
 
 class _ReadLog(dict):
@@ -224,7 +244,7 @@ class TestDefaultMethodParams:
     @pytest.mark.parametrize("method", ["ils", "ig"])
     def test_every_key_read_has_a_default(self, method):
         # a None max_time (no time limit) and a None IG acceptance temperature
-        # (resolved per instance in IgParams) are defaults like any other
+        # (resolved per instance in iterated_greedy) are defaults like any other
         params = _ReadLog(DEFAULT_METHOD_PARAMS[method])
         _SOLVERS[method](small_dataset(count=1)[0], 0, params)
         assert params.read <= set(DEFAULT_METHOD_PARAMS[method])
@@ -267,6 +287,11 @@ class TestSweepSigma:
         sigmas = sorted({row.extra["sigma"] for row in report.rows})
         assert sigmas == [0.0, 2.0, 4.0, 6.0]
 
+    def test_policy_machine_mismatch_rejected_before_any_solver(self, m3_checkpoint, solver_calls):
+        with pytest.raises(ValidationError, match="machines"):
+            sweep_sigma([0.0, 2.0], f"policy:{m3_checkpoint}", "neh", count=2, jobs=5, machines=4)
+        assert solver_calls == []
+
     def test_expert_vs_expert_all_zero(self):
         report = sweep_sigma([0.0, 3.0], "neh", "neh", count=3, jobs=6, machines=3)
         assert all(row.mean_gap_pct == 0.0 for row in report.rows)
@@ -277,6 +302,13 @@ class TestSweepMachines:
         report = sweep_machines([2.0], "rs", "neh", count=2, jobs=5, seed=1)
         assert report.metadata["machine_counts"] == [2]
         assert all(row.m == 2 for row in report.rows)
+
+    @pytest.mark.parametrize("arms", [("policy", "ig"), ("ig", "policy")])
+    def test_policy_machine_mismatch_rejected_before_any_solver(self, m3_checkpoint, solver_calls, arms):
+        method_a, method_b = (f"policy:{m3_checkpoint}" if arm == "policy" else arm for arm in arms)
+        with pytest.raises(ValidationError, match="machines=4 dataset has 4 machines, model expects 3"):
+            sweep_machines([3, 4], method_a, method_b, count=2, jobs=5, seed=1)
+        assert solver_calls == []
 
     @pytest.mark.parametrize("counts", [[2, 3.7], [2.5], [True], ["3"], [float("nan")]])
     def test_non_integer_count_rejected(self, counts):

@@ -8,7 +8,6 @@ from flowshop.errors import ValidationError
 from flowshop.exact import brute_force
 from flowshop.heuristics import (
     HeuristicBudget,
-    IgParams,
     insertion_makespans,
     iterated_greedy,
     iterated_local_search,
@@ -292,33 +291,24 @@ class TestIteratedGreedy:
         # single machine: nothing improves, temperature 0 rejects all worsening
         inst = Instance(np.array([[3.0, 1.0, 2.0, 5.0]]))
         neh_perm, neh_value = neh(inst)
-        params = IgParams(
-            d_jobs=2,
-            acceptance_temperature=0.0,
-            budget=HeuristicBudget(max_iterations=1, rng_seed=0),
-            init="neh",
-        )
-        perm, value = iterated_greedy(inst, params)
+        budget = HeuristicBudget(max_iterations=1, rng_seed=0)
+        perm, value = iterated_greedy(inst, budget, d_jobs=2, acceptance_temperature=0.0, init="neh")
         assert value == neh_value
 
     def test_single_machine_equals_neh_value(self, rng):
         inst = Instance(rng.gamma(1, 2, (1, 6)))
-        params = IgParams(d_jobs=2, budget=HeuristicBudget(max_iterations=3, rng_seed=1))
-        _, value = iterated_greedy(inst, params)
+        _, value = iterated_greedy(inst, HeuristicBudget(max_iterations=3, rng_seed=1), d_jobs=2)
         assert value == pytest.approx(neh(inst)[1])
 
     def test_destruction_size_guard(self, rng):
         inst = random_instance(rng, n=4, m=2)
         with pytest.raises(ValidationError):
-            iterated_greedy(inst, IgParams(d_jobs=4, budget=HeuristicBudget(max_iterations=1)))
+            iterated_greedy(inst, HeuristicBudget(max_iterations=1), d_jobs=4)
 
     def test_neh_init_never_worse_than_neh(self, rng):
         for seed in range(5):
             inst = random_instance(rng, n=10, m=4)
-            params = IgParams(
-                d_jobs=3, budget=HeuristicBudget(max_iterations=10, rng_seed=seed), init="neh"
-            )
-            _, value = iterated_greedy(inst, params)
+            _, value = iterated_greedy(inst, HeuristicBudget(max_iterations=10, rng_seed=seed), d_jobs=3, init="neh")
             assert value <= neh(inst)[1] + 1e-9
 
     def test_mean_not_worse_than_ils_small_suite(self):
@@ -327,14 +317,7 @@ class TestIteratedGreedy:
         ig_vals, ils_vals = [], []
         for k, inst in enumerate(suite):
             ig_vals.append(
-                iterated_greedy(
-                    inst,
-                    IgParams(
-                        d_jobs=4,
-                        budget=HeuristicBudget(max_iterations=5, rng_seed=k),
-                        inner_iterations=10,
-                    ),
-                )[1]
+                iterated_greedy(inst, HeuristicBudget(max_iterations=5, rng_seed=k), d_jobs=4, inner_iterations=10)[1]
             )
             ils_vals.append(
                 iterated_local_search(
@@ -347,9 +330,9 @@ class TestIteratedGreedy:
 
     def test_deterministic(self, rng):
         inst = random_instance(rng, n=9, m=3)
-        params = IgParams(d_jobs=3, budget=HeuristicBudget(max_iterations=8, rng_seed=4))
-        a = iterated_greedy(inst, params)
-        b = iterated_greedy(inst, params)
+        budget = HeuristicBudget(max_iterations=8, rng_seed=4)
+        a = iterated_greedy(inst, budget, d_jobs=3)
+        b = iterated_greedy(inst, budget, d_jobs=3)
         assert list(a[0]) == list(b[0]) and a[1] == b[1]
 
 
@@ -367,9 +350,7 @@ class TestAnytimeProperty:
         ]
         assert ils[0] >= ils[1] >= ils[2]
         ig = [
-            iterated_greedy(
-                inst, IgParams(d_jobs=3, budget=HeuristicBudget(max_iterations=it, rng_seed=11))
-            )[1]
+            iterated_greedy(inst, HeuristicBudget(max_iterations=it, rng_seed=11), d_jobs=3)[1]
             for it in (1, 5, 20)
         ]
         assert ig[0] >= ig[1] >= ig[2]

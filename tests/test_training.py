@@ -10,7 +10,8 @@ from flowshop.env import record_expert_traces
 from flowshop.errors import DataError, ValidationError
 from flowshop.heuristics import neh
 from flowshop.instances import DatasetSpec, generate
-from flowshop.policy import PolicyConfig, PolicyParams, rollout_greedy
+from flowshop import training
+from flowshop.policy import PolicyConfig, PolicyParams, bc_loss, rollout_greedy
 from flowshop.training import Adam, TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
 
 TINY_POLICY = PolicyConfig(machines=3, hidden_dim=8, layers=1, heads=2)
@@ -77,6 +78,16 @@ class TestTrain:
         with pytest.raises(ValidationError, match="machines"):
             train(tiny_train_config(), traces)
 
+    @pytest.mark.parametrize("wrong", ["val-machines", "expert-length"])
+    def test_bad_validation_set_rejected_before_the_first_step(self, monkeypatch, wrong):
+        calls = []
+        monkeypatch.setattr(training, "bc_loss", lambda *args: calls.append(args) or bc_loss(*args))
+        val = generate(DatasetSpec(count=3, jobs=6, machines=4 if wrong == "val-machines" else 3, seed=51))
+        expert = np.ones(2) if wrong == "expert-length" else None
+        with pytest.raises(ValidationError, match="machines" if wrong == "val-machines" else "align"):
+            train(tiny_train_config(), make_traces(), val, expert)
+        assert calls == []
+
     def test_mixed_job_counts_rejected(self, tmp_path):
         traces = make_traces(count=3, jobs=6) + make_traces(count=3, jobs=7)
         log = tmp_path / "train.jsonl"
@@ -127,11 +138,14 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_machine_mismatch(self):
+    def test_machine_mismatch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "neh", lambda inst: calls.append(inst) or neh(inst))
         params = PolicyParams.init(TINY_POLICY)
         insts = generate(DatasetSpec(count=2, jobs=5, machines=4, seed=1))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="machines"):
             evaluate(params, insts)
+        assert calls == []  # rejected before the expert runs
 
     def test_gap_zero_against_own_makespans(self):
         params = PolicyParams.init(TINY_POLICY, seed=4)
@@ -163,6 +177,42 @@ class TestCheckpoint:
             np.testing.assert_allclose(
                 loaded.tensors[name].data, t.data.astype(np.float32), rtol=0, atol=0
             )
+
+    def test_loads_owned_writable_float32(self, tmp_path):
+        # a checkpoint decodes in the float32 it was trained and stored in
+        params = PolicyParams.init(TINY_POLICY, seed=6)
+        path = tmp_path / "model.fsc"
+        save_checkpoint(path, params)
+        loaded, _ = load_checkpoint(path)
+        arrays = [t.data for t in loaded.tensors.values()] + list(loaded.buffers.values())
+        assert len(arrays) == len(params.tensors) + len(params.buffers) and params.buffers
+        for data in arrays:
+            assert data.dtype == np.float32 and data.dtype.isnative
+            assert data.flags.writeable and data.flags.c_contiguous
+            data += 1.0  # owned memory, not a view of the file's bytes
+
+    def test_reload_reproduces_the_final_validation(self, tmp_path):
+        # validation decodes the float32 weights with the batch-norm buffers
+        # rounded to float32 at use; the checkpoint stores those same roundings
+        val = generate(DatasetSpec(count=4, jobs=6, machines=3, seed=51))
+        path = tmp_path / "model.fsc"
+        params, history = train(tiny_train_config(checkpoint_path=str(path)), make_traces(), val)
+        reloaded = evaluate(load_checkpoint(path)[0], val)
+        assert reloaded["mean_gap_pct"] == history[-1]["val_gap"]
+        assert np.array_equal(reloaded["makespans"], evaluate(params, val)["makespans"])
+
+    def test_float32_decodes_like_float64_at_n200(self, tmp_path):
+        # one set of stored weights, decoded as loaded and widened to float64
+        path = tmp_path / "model.fsc"
+        save_checkpoint(path, PolicyParams.init(PolicyConfig(machines=5), seed=3))
+        narrow, _ = load_checkpoint(path)
+        wide, _ = load_checkpoint(path)
+        for t in wide.tensors.values():
+            t.data = t.data.astype(np.float64)
+        for name, b in wide.buffers.items():
+            wide.buffers[name] = b.astype(np.float64)
+        for inst in generate(DatasetSpec(count=10, jobs=200, machines=5, dist="gamma", seed=2002)):
+            assert np.array_equal(rollout_greedy(narrow, inst), rollout_greedy(wide, inst))
 
     def test_rollout_consistent_after_reload(self, tmp_path):
         # float32 rounding must not break determinism of the reloaded model
