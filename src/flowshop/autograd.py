@@ -16,22 +16,23 @@ residual of ``residual_normalize``), becomes its ``grad`` uncopied.
 The op set is deliberately small: elementwise + * and unary -, matmul with
 numpy broadcasting (``linear`` for ``x @ w.T`` as one node), tanh, sum/mean
 reductions, stable (log-)softmax that tolerates -inf masking, a row gather
-(``gather_rows``), concat, reshape/transpose/broadcast_to, where, and three
-fused nodes of the gated graph layer: the ``gated_message``, the
-``edge_preactivation`` and ``residual_normalize``, which is ``res +
-relu(Nm(pre))`` for batch, layer or no normalization. The policy network
-needs all of them; the tests build their reference chains from further
-ops on ``Tensor._make``.
+(``gather_rows``), basic indexing, concat, reshape/transpose/broadcast_to,
+where, and three fused nodes of the gated graph layer: the
+``node_preactivation`` and the ``edge_preactivation`` of the two streams,
+and ``residual_normalize``, which is ``res + relu(Nm(pre))`` for batch,
+layer or no normalization. The policy network needs all of them; the
+tests build their reference chains from further ops on ``Tensor._make``.
 
 ``backward()`` releases the graph as it sweeps: each interior node's
-gradient, closure and parent links are dropped once its backward has run,
+gradient, closure and parent links are dropped before its backward runs,
 so activations and intermediate gradients are freed during the sweep and
 only leaf tensors keep their ``grad``. Each graph therefore allows one
 backward; a second call on a released graph raises ``ValueError``. The
 forward tape is kept small too: ``residual_normalize`` absorbs the node
 that made its pre-activation, so that array is freed as soon as the
 caller drops it, and the fused nodes keep only the arrays their backward
-reads.
+reads and recompute the cheap rest, such as ``sigmoid(e)`` (Chen et al.
+2016).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "concat", "where", "linear", "residual_normalize",
-    "gather_rows", "gated_message", "edge_preactivation", "no_grad",
+    "gather_rows", "node_preactivation", "edge_preactivation", "no_grad",
 ]
 
 _GRAD_ENABLED = True
@@ -192,12 +193,12 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            backward, grad = node._backward, node.grad
+            if backward is None:
                 continue  # a leaf keeps its accumulated grad
-            grad, node.grad = node.grad, None
-            node._backward(grad)
-            node._backward = _released
-            node._parents = ()
+            node.grad, node._backward, node._parents = None, _released, ()
+            del node  # no consumer holds it now, so its data is freed unless the caller keeps it
+            backward(grad)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -368,6 +369,17 @@ class Tensor:
 
         return Tensor._make(a.data.transpose(axes), (a,), backward)
 
+    def __getitem__(self, index):
+        """Basic indexing (ints and slices), so no element is picked twice."""
+        a = self
+
+        def backward(g):
+            ga = np.zeros_like(a.data)
+            ga[index] = g
+            a._accumulate(ga, owned=True)
+
+        return Tensor._make(a.data[index], (a,), backward)
+
     def broadcast_to(self, shape):
         a = self
 
@@ -466,29 +478,30 @@ def residual_normalize(res: Tensor, pre: Tensor, gamma, beta, axes: tuple[int, .
 
     def backward(g):
         if gamma is None:
-            dy = g * (xhat > 0)
+            dy = np.greater(xhat, 0, out=np.empty_like(xhat))
         else:
             dy = xhat * gamma.data
             dy += beta.data
-            np.multiply(g, dy > 0, out=dy)
+            np.greater(dy, 0, out=dy)  # the relu mask as 1.0 and 0.0, in place
+        dy *= g
         if res.requires_grad:  # after dy: an absorbed backward may add into res.grad, which is g
             res._accumulate(g, owned=True)
-        dpre = dy
         if gamma is not None:
-            if pre_grad:
-                dpre = dy * gamma.data
+            t = dy * xhat
+            if gamma.requires_grad:  # not owned: t and dy are reused below
+                gamma._accumulate(_unbroadcast(t, gamma.data.shape))
+            if beta.requires_grad:
+                beta._accumulate(_unbroadcast(dy, beta.data.shape))
+            if pre_grad:  # dpre is formed in dy, with t as scratch
+                dy *= gamma.data
                 if stats is None:
-                    t = dpre * xhat
-                    mean_dx_xhat = _sum(t, axes, keepdims=True) * scale
-                    dpre -= _sum(dpre, axes, keepdims=True) * scale
-                    dpre -= np.multiply(xhat, mean_dx_xhat, out=t)
-                dpre /= sd
-            if gamma.requires_grad:
-                gamma._accumulate(_unbroadcast(dy * xhat, gamma.data.shape), owned=True)
-            if beta.requires_grad:  # last: beta may take dy itself
-                beta._accumulate(_unbroadcast(dy, beta.data.shape), owned=True)
+                    mean_dx_xhat = _sum(np.multiply(dy, xhat, out=t), axes, keepdims=True) * scale
+                    dy -= _sum(dy, axes, keepdims=True) * scale
+                    dy -= np.multiply(xhat, mean_dx_xhat, out=t)
+                dy /= sd
+            del t  # before the absorbed backward allocates its own
         if pre_grad:
-            pre_backward(dpre)
+            pre_backward(dy)
 
     return Tensor._make(out, parents, backward), mu, var
 
@@ -508,23 +521,27 @@ def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor._make(t.data[np.arange(batch)[:, None], idx], (t,), backward)
 
 
-def gated_message(e: Tensor, ch: Tensor, nbr: np.ndarray, aggregation: str) -> Tensor:
-    """``agg_k(sigmoid(e) * ch[nbr])`` as one node: (B, n, k, d), (B, n, d) -> (B, n, d).
+def node_preactivation(h: Tensor, e: Tensor, wb: Tensor, wc: Tensor, nbr: np.ndarray, aggregation: str) -> Tensor:
+    """``h @ wb.T + agg_k(sigmoid(e) * (h @ wc.T)[nbr])`` as one node: (B, n, d).
 
-    ``nbr`` (B, n, k) indexes rows of ``ch``; ``aggregation`` is "mean",
-    "sum" or "max" over k, and max routes the gradient to the first argmax,
-    as ``Tensor.max`` does. The forward runs the ops of the composed chain
-    in its order, so it is bit-identical to it. The backward keeps only
-    ``s = sigmoid(e)`` (and the argmax): with ``dm`` the gradient of the
-    message, ``de = dm * ch[nbr] * s * (1 - s)`` gathers ``ch[nbr]`` again,
-    and ``dch`` scatters ``dm * s`` through the same index.
+    ``h`` is (B, n, d_h), ``e`` (B, n, k, d) and ``nbr`` (B, n, k) indexes
+    rows of ``h``; ``aggregation`` is "mean", "sum" or "max" over k, and max
+    routes the gradient to the first argmax, as ``Tensor.max`` does. The
+    forward runs the ops of the composed chain in its order, so it is
+    bit-identical to it. The node keeps only ``ch = h @ wc.T`` (and the
+    argmax); the backward recomputes ``s = sigmoid(e)`` from ``e``, which
+    the tape holds anyway. With ``dm`` the gradient of the message, ``dch``
+    scatters ``dm * s`` through ``nbr``, and ``de = dm * ch[nbr] * s * (1 -
+    s)`` gathers ``ch[nbr]`` again.
     """
     batch, n, k = nbr.shape
     idx = np.asarray(nbr, dtype=np.int64).reshape(batch, n * k)
     grid = np.arange(batch)[:, None]
-    s = _sigmoid(e.data)
-    msg = ch.data[grid, idx].reshape(s.shape)
-    msg *= s
+    d_out, d_h = wb.data.shape
+    h2 = h.data.reshape(-1, d_h)
+    ch = (h2 @ wc.data.T).reshape(batch, n, d_out)
+    msg = ch[grid, idx].reshape(e.data.shape)
+    msg *= _sigmoid(e.data)
     if aggregation == "max":
         am = np.argmax(msg, axis=2)[:, :, None]
         out = np.take_along_axis(msg, am, axis=2)[:, :, 0]
@@ -533,24 +550,33 @@ def gated_message(e: Tensor, ch: Tensor, nbr: np.ndarray, aggregation: str) -> T
         if aggregation == "mean":
             scale = out.dtype.type(1.0 / k)
             out *= scale
+    out += (h2 @ wb.data.T).reshape(out.shape)
 
     def backward(g):
+        s = _sigmoid(e.data)
         if aggregation == "max":
             dm = np.zeros_like(s)
             np.put_along_axis(dm, am, g[:, :, None], axis=2)
         else:
             dm = (g * scale if aggregation == "mean" else g)[:, :, None]
-        if ch.requires_grad:
-            dch = (dm * s).reshape(batch, n * k, -1)
-            ch._accumulate(_scatter_rows(dch, idx, ch.data.shape[1]), owned=True)
-        if e.requires_grad:
-            de = ch.data[grid, idx].reshape(s.shape)
+        dch = _scatter_rows((dm * s).reshape(batch, n * k, d_out), idx, n)
+        for w, gw in ((wb, g), (wc, dch)):
+            gw2 = gw.reshape(-1, d_out)
+            if h.requires_grad:
+                h._accumulate((gw2 @ w.data).reshape(h.data.shape), owned=True)
+            if w.requires_grad:
+                w._accumulate((h2.T @ gw2).T, owned=True)
+        if e.requires_grad:  # de = dm * ch[nbr] * s * (1 - s), in place: s - 1 is -(1 - s) exactly
+            de = ch[grid, idx].reshape(s.shape)
             de *= dm
             de *= s
-            de *= 1 - s
-            e._accumulate(de, owned=True)
+            s -= 1
+            de *= s
+            e._accumulate(np.negative(de, out=de), owned=True)
 
-    return Tensor._make(out, (e, ch), backward)
+    # e before h: the sweep then reaches the update that made e before the previous layer's
+    # node update, so e's gradient is handed on before that node update makes a second one
+    return Tensor._make(out, (e, h, wb, wc), backward)
 
 
 def edge_preactivation(e: Tensor, h: Tensor, wd: Tensor, we: Tensor, wf: Tensor, nbr: np.ndarray) -> Tensor:

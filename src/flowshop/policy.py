@@ -7,18 +7,18 @@ convolution stack embeds nodes and edges with residual updates
     h' = h + ReLU(Nm(B h_j + Ag_k(sigmoid(e_jk) * C h_k)))
     e' = e + ReLU(Nm(D e_jk + E h_j + F h_k))
 
-The message Ag_k(...) and the edge pre-activation inside Nm(...) are one
-autograd node each (``gated_message``, ``edge_preactivation``), and so is
-each stream's residual update x + ReLU(Nm(...)) (``residual_normalize``).
-That node takes over the node that made its pre-activation, so the
-training tape keeps only the normalized pre-activation and the output of
-each stream and layer. Every x W.T is one node too (``linear``). The
-decoder refines a 3d context [graph embedding, first job, last job] with
-one multi-head attention block, then scores each unscheduled job with
-clip * tanh(query . key / sqrt(d)) logits; scheduled jobs are masked to
--inf so their probability is exactly zero. The node keys and values of
-the decoder do not change between steps, so ``_keys`` projects
-them once per encoding.
+Each stream's pre-activation inside Nm(...) is one autograd node
+(``node_preactivation``, ``edge_preactivation``), and so is its residual
+update x + ReLU(Nm(...)) (``residual_normalize``), which takes over the
+node that made its pre-activation: the training tape keeps the normalized
+pre-activation and the output of each stream and layer, and C h. Every
+x W.T is one node too (``linear``). The decoder refines a 3d context
+[graph embedding, first job, last job] with one multi-head attention
+block, then scores each unscheduled job with clip * tanh(query . key /
+sqrt(d)) logits; scheduled jobs are masked to -inf so their probability
+is exactly zero. ``_keys`` projects what no step changes once per
+encoding: the node keys and values, and each job's and placeholder's
+term of the context query.
 
 All weight shapes depend only on the machine count and hidden width, so
 one trained model rolls out on any job count. One ``_decode`` builds the
@@ -215,7 +215,7 @@ class Activations:
     node_layers: list[np.ndarray]  # h^0 .. h^L, each (n, d)
     edge_layers: list[np.ndarray]  # e^0 .. e^(L-1), each (n, k, d)
     graph_embedding: np.ndarray  # (d,)
-    keys: tuple[Tensor, Tensor, Tensor]  # ``_keys`` of h^L, batch of one
+    keys: tuple[Tensor, ...]  # ``_keys`` of h^L, batch of one
     refined: np.ndarray | None = None  # last MHA output h_(c)
     logits: np.ndarray | None = None  # last masked logits (n,)
     probs: np.ndarray | None = None  # last probabilities (n,)
@@ -266,8 +266,8 @@ def _encode_core(
     edge_layers = [e]
     edges_finite = np.isfinite(e.data).all()  # e^0; later, only an updated e is checked again
     for layer in range(cfg.layers):
-        bh, ch = (ag.linear(h, t[f"enc{layer}_{name}"]) for name in ("B", "C"))
-        h = _residual(params, h, bh + ag.gated_message(e, ch, nbr, cfg.aggregation), layer, "node", mode)
+        weights = (t[f"enc{layer}_{name}"] for name in ("B", "C"))
+        h = _residual(params, h, ag.node_preactivation(h, e, *weights, nbr, cfg.aggregation), layer, "node", mode)
         if layer + 1 < cfg.layers:
             weights = (t[f"enc{layer}_{name}"] for name in ("D", "E", "F"))
             e = _residual(params, e, ag.edge_preactivation(e, node_layers[layer], *weights, nbr), layer, "edge", mode)
@@ -281,49 +281,48 @@ def _encode_core(
     return node_layers, edge_layers, h, h_graph
 
 
-def _keys(params: PolicyParams, h_nodes: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """The decoder's node projections, which no decoding step changes: from h_nodes
-    (B, n, d), attention keys (B, heads, dh, n), values (B, heads, n, dh), output keys (B, d, n)."""
+def _keys(params: PolicyParams, h_nodes: Tensor, h_graph: Tensor) -> tuple[Tensor, ...]:
+    """What no decoding step changes, projected once from h_nodes (B, n, d) and h_graph (B, d).
+
+    The context query [g, f, p] Wq^T is g Wq_g^T + f Wq_f^T + p Wq_p^T over Wq's column
+    blocks (Kool et al. 2019, section 3.2). Returns the first and previous job's query tables
+    (B, n + 1, d), row 0 the placeholder's (v1, v2) term, row j + 1 job j's, the first with
+    g Wq_g^T added; attention keys (B, heads, dh, n) and output keys (B, d, n), scaled by
+    1/sqrt(dh) and 1/sqrt(d); values (B, heads, n, dh).
+    """
     t = params.tensors
     batch, n, d = h_nodes.data.shape
-    split = (batch, n, params.config.heads, d // params.config.heads)
-    kx = ag.linear(h_nodes, t["mha_wk"]).reshape(split).transpose(0, 2, 3, 1)
+    dh = d // params.config.heads
+    split = (batch, n, params.config.heads, dh)
+    wq = t["mha_wq"]
+    tables = [ag.linear(h_graph, wq[:, :d]).reshape(batch, 1, d)]
+    for block, placeholder in ((1, t["v1"]), (2, t["v2"])):
+        rows = ag.concat([placeholder.reshape(1, 1, d).broadcast_to((batch, 1, d)), h_nodes], axis=1)
+        tables.append(ag.linear(rows, wq[:, block * d : (block + 1) * d]))
+    kx = ag.linear(h_nodes, t["mha_wk"]).reshape(split).transpose(0, 2, 3, 1) * (1.0 / math.sqrt(dh))
     vx = ag.linear(h_nodes, t["mha_wv"]).reshape(split).transpose(0, 2, 1, 3)
-    kf = ag.linear(h_nodes, t["out_wk"]).transpose(0, 2, 1)
-    return kx, vx, kf
+    kf = ag.linear(h_nodes, t["out_wk"]).transpose(0, 2, 1) * (1.0 / math.sqrt(d))
+    return tables[1] + tables[0], tables[2], kx, vx, kf
 
 
-def _decode(params: PolicyParams, h_nodes: Tensor, h_graph: Tensor, keys, first, prev, avail) -> tuple[Tensor, Tensor]:
-    """Context [graph embedding, first job, previous job], its MHA refinement,
-    then clipped masked logits.
+def _decode(params: PolicyParams, keys, first, prev, avail) -> tuple[Tensor, Tensor]:
+    """Context query of the first and previous job, its MHA refinement, then clipped masked logits.
 
-    h_nodes: (B, n, d), h_graph: (B, d), keys from ``_keys``; first, prev:
-    (B, T) job indices, where -1 selects the learned placeholder v1 or v2;
-    avail: (B, T, n) boolean. Returns (refined context (B, T, d), logits (B, T, n)).
+    keys from ``_keys``; first, prev: (B, T) job indices, -1 for the placeholder; avail: (B, T, n)
+    boolean. Returns (refined context (B, T, d), logits (B, T, n)).
     """
     cfg = params.config
     t = params.tensors
-    kx, vx, kf = keys
-    batch, _, d = h_nodes.data.shape
-    steps = first.shape[1]
-    heads = cfg.heads
-    dh = d // heads
-
-    slots = [h_graph.reshape(batch, 1, d).broadcast_to((batch, steps, d))]
-    for jobs, placeholder in ((first, t["v1"]), (prev, t["v2"])):
-        rows = ag.gather_rows(h_nodes, np.maximum(jobs, 0))
-        slots.append(ag.where(jobs[..., None] < 0, placeholder, rows))
-    ctx = ag.concat(slots, axis=-1)
-
-    q = ag.linear(ctx, t["mha_wq"]).reshape(batch, steps, heads, dh).transpose(0, 2, 1, 3)
-    attn = ((q @ kx) * (1.0 / math.sqrt(dh))).softmax(axis=-1)
+    first_rows, prev_rows, kx, vx, kf = keys
+    batch, steps = first.shape
+    d = cfg.hidden_dim
+    q = ag.gather_rows(first_rows, first + 1) + ag.gather_rows(prev_rows, prev + 1)
+    q = q.reshape(batch, steps, cfg.heads, d // cfg.heads).transpose(0, 2, 1, 3)
+    attn = (q @ kx).softmax(axis=-1)
     mixed = (attn @ vx).transpose(0, 2, 1, 3).reshape(batch, steps, d)
     refined = ag.linear(mixed, t["mha_wo"])
-
-    qf = ag.linear(refined, t["out_wq"])
-    scores = (qf @ kf) * (1.0 / math.sqrt(d))
-    clipped = scores.tanh() * cfg.logit_clip
-    logits = ag.where(avail, clipped, -np.inf)
+    scores = ag.linear(refined, t["out_wq"]) @ kf
+    logits = ag.where(avail, scores.tanh() * cfg.logit_clip, -np.inf)
     return refined, logits
 
 
@@ -337,7 +336,7 @@ def encode(params: PolicyParams, graph: JobGraph) -> Activations:
         node_layers, edge_layers, h_nodes, h_graph = _encode_core(
             params, graph.features[None], graph.neighbors[None], graph.distances[None], "eval"
         )
-        keys = _keys(params, h_nodes)
+        keys = _keys(params, h_nodes, h_graph)
     return Activations(
         graph=graph,
         node_layers=[t.data[0] for t in node_layers],
@@ -359,9 +358,8 @@ def decode_step(params: PolicyParams, acts: Activations, state: ScheduleState) -
         raise ValidationError("state and activations disagree on the job count")
     jobs = [state.scheduled[0], state.scheduled[-1]] if state.t else [-1, -1]  # -1: the placeholders
     first, prev = np.array(jobs).reshape(2, 1, 1)
-    h_nodes, h_graph = Tensor(acts.node_layers[-1][None]), Tensor(acts.graph_embedding[None])
     with ag.no_grad():
-        refined, logits = _decode(params, h_nodes, h_graph, acts.keys, first, prev, state_mask(state)[None, None, :])
+        refined, logits = _decode(params, acts.keys, first, prev, state_mask(state)[None, None, :])
         probs = logits.softmax(axis=-1)
     acts.refined = refined.data[0, 0]
     acts.logits = logits.data[0, 0]
@@ -437,7 +435,7 @@ def _teacher_forced_logprobs(params: PolicyParams, batch: TraceBatch, mode: str)
     pos = np.argsort(tau, axis=1)
     avail = pos[:, None, :] >= np.arange(n)[None, :, None]
 
-    _, logits = _decode(params, h_nodes, h_graph, _keys(params, h_nodes), first, prev, avail)
+    _, logits = _decode(params, _keys(params, h_nodes, h_graph), first, prev, avail)
     log_probs = logits.log_softmax(axis=-1)
     return ag.gather_rows(log_probs.reshape(b * n, n, 1), tau.reshape(-1, 1)).reshape(b, n)
 

@@ -204,6 +204,10 @@ class TestShapeOps:
     def test_broadcast_to(self):
         check_op(lambda ts: (ts[0].broadcast_to((4, 3)) * ts[1]).sum(), [(1, 3), (4, 3)])
 
+    def test_getitem_column_blocks(self):
+        # two blocks of one weight, as the decoder reads the query weight's column blocks
+        check_op(lambda ts: (_square(ts[0][:, 1:3]) + ts[0][:, 3:] * ts[1]).sum(), [(2, 5), (2, 2)])
+
     def test_gather_rows_with_duplicates(self):
         idx = np.array([[0, 0, 3], [2, 2, 1]])  # fewer picks than rows
         check_op(lambda ts: _square(ag.gather_rows(ts[0], idx)).sum(), [(2, 4, 3)])
@@ -332,13 +336,17 @@ def test_scatter_rows_matches_add_at(rows, dim):
     np.testing.assert_array_equal(got, ref)
 
 
-def composed_gated_message(e, ch, nbr, aggregation, gather=ag.gather_rows):
-    """The gated message chain of plain ops that ``ag.gated_message`` fuses."""
+def composed_node_preactivation(h, e, wb, wc, nbr, aggregation, gather=ag.gather_rows):
+    """The node pre-activation chain of plain ops that ``ag.node_preactivation`` fuses:
+    ``h B^T`` plus the gated message of ``h C^T``."""
     batch, n, k = nbr.shape
+    ch = h @ wc.transpose(1, 0)
     msg = sigmoid(e) * gather(ch, nbr.reshape(batch, n * k)).reshape(batch, n, k, -1)
     if aggregation == "max":
-        return amax(msg, axis=2)
-    return msg.mean(axis=2) if aggregation == "mean" else msg.sum(axis=2)
+        msg = amax(msg, axis=2)
+    else:
+        msg = msg.mean(axis=2) if aggregation == "mean" else msg.sum(axis=2)
+    return h @ wb.transpose(1, 0) + msg
 
 
 def composed_edge_preactivation(e, h, wd, we, wf, nbr, gather=ag.gather_rows):
@@ -351,19 +359,20 @@ def composed_edge_preactivation(e, h, wd, we, wf, nbr, gather=ag.gather_rows):
 
 # B=2, n=4, k=3 with repeated neighbours; e and h of different widths, output width 3
 LAYER_NBR = np.array([[[1, 2, 3], [0, 0, 2], [3, 1, 0], [2, 2, 2]], [[3, 2, 1], [0, 3, 2], [1, 1, 0], [0, 2, 1]]])
+LAYER_NBR_PARTIAL = np.array([[[1, 2, 1], [0, 0, 2], [2, 1, 0], [2, 2, 2]], [[3, 2, 1], [3, 3, 2], [1, 1, 2], [2, 2, 1]]])
 LAYER_OPS = {
-    **{
+    **{  # the gated message of each aggregation, inside the node pre-activation
         f"gated-message-{agg}": (
-            lambda ts, agg=agg: ag.gated_message(ts[0], ts[1], LAYER_NBR, agg),
-            lambda ts, agg=agg: composed_gated_message(ts[0], ts[1], LAYER_NBR, agg),
-            [(2, 4, 3, 5), (2, 4, 5)],
+            lambda ts, agg=agg: ag.node_preactivation(*ts, LAYER_NBR, agg),
+            lambda ts, agg=agg: composed_node_preactivation(*ts, LAYER_NBR, agg),
+            [(2, 4, 5), (2, 4, 3, 3), (3, 5), (3, 5)],
         )
         for agg in ("mean", "sum", "max")
     },
-    "gated-message-ch-rows-beyond-n": (  # ch has 6 rows, two of them never gathered
-        lambda ts: ag.gated_message(ts[0], ts[1], LAYER_NBR, "mean"),
-        lambda ts: composed_gated_message(ts[0], ts[1], LAYER_NBR, "mean"),
-        [(2, 4, 3, 5), (2, 6, 5)],
+    "gated-message-rows-never-gathered": (  # no neighbour list picks row 3, then row 0, of h C^T
+        lambda ts: ag.node_preactivation(*ts, LAYER_NBR_PARTIAL, "mean"),
+        lambda ts: composed_node_preactivation(*ts, LAYER_NBR_PARTIAL, "mean"),
+        [(2, 4, 5), (2, 4, 3, 3), (3, 5), (3, 5)],
     ),
     "edge-preactivation": (
         lambda ts: ag.edge_preactivation(*ts, LAYER_NBR),
@@ -383,10 +392,7 @@ def _edge_residual(ts, kind, fused):
 def _node_residual(ts, kind, fused):
     """h + relu(Nm(h B.T + mean-message of e and h C.T)) of width 3; ts: h, e, wb, wc[, gamma, beta]."""
     h, e, wb, wc, *affine = ts
-    if fused:
-        pre = ag.linear(h, wb) + ag.gated_message(e, ag.linear(h, wc), LAYER_NBR, "mean")
-    else:
-        pre = h @ wb.transpose(1, 0) + composed_gated_message(e, h @ wc.transpose(1, 0), LAYER_NBR, "mean")
+    pre = (ag.node_preactivation if fused else composed_node_preactivation)(h, e, wb, wc, LAYER_NBR, "mean")
     return _residual(h, pre, affine, kind, fused)
 
 
@@ -442,6 +448,24 @@ class TestLayerOps:
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             else:
                 np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("aggregation", ["mean", "sum"])
+    def test_recomputed_gate_gradient_is_bit_identical(self, aggregation, dtype):
+        # the gate's gradient dm * ch[nbr] * s * (1 - s), with s = sigmoid(e) held
+        # from the forward, in that order; the node recomputes s and forms 1 - s in place
+        rng = np.random.Generator(np.random.PCG64(13))
+        h, e, wb, wc = (Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in LAYER_OPS["gated-message-mean"][2])
+        weights = self._weights((2, 4, 3)).astype(dtype)
+        (ag.node_preactivation(h, e, wb, wc, LAYER_NBR, aggregation) * weights).sum().backward()
+        s = ag._sigmoid(e.data)
+        dm = (weights * dtype(1.0 / 3) if aggregation == "mean" else weights)[:, :, None]
+        ch = (h.data.reshape(8, 5) @ wc.data.T).reshape(2, 4, 3)  # the forward's GEMM
+        ref = ch[np.arange(2)[:, None], LAYER_NBR.reshape(2, 12)].reshape(s.shape)
+        ref *= dm
+        ref *= s
+        ref *= 1 - s
+        np.testing.assert_array_equal(e.grad, ref)
 
     @pytest.mark.parametrize("fused, composed, shapes", LAYER_OPS.values(), ids=LAYER_OPS.keys())
     def test_numeric_gradient(self, fused, composed, shapes):
@@ -518,6 +542,7 @@ FLOAT32_OPS = {
     "reshape": (lambda ts: ts[0].reshape(6, 2), [(2, 3, 2)]),
     "transpose": (lambda ts: ts[0].transpose(1, 0), [(3, 4)]),
     "broadcast-to": (lambda ts: ts[0].broadcast_to((4, 3)), [(1, 3)]),
+    "getitem": (lambda ts: ts[0][:, 1:3], [(2, 4)]),
     "concat": (lambda ts: ag.concat([ts[0], ts[1]], axis=1), [(2, 3), (2, 2)]),
     "where-constant": (lambda ts: ag.where(np.array([True, False, True]), ts[0], -np.inf), [(3,)]),
     "where": (lambda ts: ag.where(np.array([True, False]), ts[0], ts[1]), [(2,), (2,)]),
@@ -559,9 +584,9 @@ SHARED_INPUT_CASES = {
     "reshape": lambda u, v, y: u.reshape(4, 3) + (v + y).reshape(4, 3),
     "transpose": lambda u, v, y: u.transpose(1, 0) @ (v * y),
     "normalize(x) + x": lambda u, v, y: ag.residual_normalize(v, u, y, y, (0,), 1e-5)[0],
-    # e and ch, and e and h, from one input: (B, n, k, d) = (1, 3, 1, 4)
-    "gated_message(x, x)": lambda u, v, y: ag.gated_message(
-        u.reshape(1, 3, 1, 4), v.reshape(1, 3, 4), SHARED_NBR, "mean"
+    # h and e from one input: (B, n, k, d) = (1, 3, 1, 4)
+    "node_preactivation(x, x)": lambda u, v, y: ag.node_preactivation(
+        u.reshape(1, 3, 4), v.reshape(1, 3, 1, 4), y.transpose(1, 0) @ y, y.transpose(1, 0) @ y, SHARED_NBR, "mean"
     ).reshape(3, 4) + y,
     "edge_preactivation(x, x)": lambda u, v, y: ag.edge_preactivation(
         u.reshape(1, 3, 1, 4), v.reshape(1, 3, 4), y, y, y, SHARED_NBR
