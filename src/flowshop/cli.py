@@ -153,10 +153,6 @@ def _cmd_train(args) -> int:
     instances = _load_instances(args.dataset)
     if not instances:
         raise DataError("empty dataset")
-    if getattr(args, "traces", None):
-        traces = load_traces(args.traces, instances)
-    else:
-        traces = record_expert_traces(instances)
     policy = PolicyConfig(
         machines=instances[0].m,
         **_given(args, "hidden_dim", "layers", "heads", "neighbor_fraction", "aggregation", "normalization"),
@@ -168,6 +164,10 @@ def _cmd_train(args) -> int:
             args, "epochs", "batch_size", "lr_decay", "seed", "checkpoint_every", learning_rate="lr", log_path="log"
         ),
     )
+    if getattr(args, "traces", None):
+        traces = load_traces(args.traces, instances)
+    else:
+        traces = record_expert_traces(instances)
     val_instances = _load_instances(args.val_dataset) if getattr(args, "val_dataset", None) else None
     _, history = train(config, traces, val_instances)
     last = history[-1]

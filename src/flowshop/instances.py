@@ -13,6 +13,7 @@ save/load round-trips are bit-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,10 +58,10 @@ class DatasetSpec:
             raise ValidationError("jobs and machines must be >= 1")
         if self.dist not in ("gamma", "normal"):
             raise ValidationError(f"unknown distribution {self.dist!r}")
-        if self.dist == "gamma" and (self.k <= 0 or self.theta <= 0):
-            raise ValidationError("gamma parameters must be positive")
-        if self.dist == "normal" and self.sigma < 0:
-            raise ValidationError("sigma must be >= 0")
+        if self.dist == "gamma" and not (0 < self.k < math.inf and 0 < self.theta < math.inf):
+            raise ValidationError("gamma parameters must be positive and finite")
+        if self.dist == "normal" and not (math.isfinite(self.mu) and 0 <= self.sigma < math.inf):
+            raise ValidationError("normal mu and sigma must be finite, sigma >= 0")
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:

@@ -12,7 +12,8 @@ Each stream's pre-activation inside Nm(...) is one autograd node
 update x + ReLU(Nm(...)) (``residual_normalize``), which takes over the
 node that made its pre-activation: the training tape keeps the normalized
 pre-activation and the output of each stream and layer, and C h. Every
-x W.T is one node too (``linear``). The decoder refines a 3d context
+x W.T is one node too (``linear``). Each e^l is read only inside layer l,
+so inference holds one edge tensor at a time. The decoder refines a 3d context
 [graph embedding, first job, last job] with one multi-head attention
 block, then scores each unscheduled job with clip * tanh(query . key /
 sqrt(d)) logits; scheduled jobs are masked to -inf so their probability
@@ -85,8 +86,8 @@ class PolicyConfig:
             )
         if not 0 < self.neighbor_fraction <= 1:
             raise ValidationError("neighbor_fraction must be in (0, 1]")
-        if self.logit_clip <= 0:
-            raise ValidationError("logit_clip must be positive")
+        if not 0 < self.logit_clip < math.inf:  # a manifest's JSON can carry NaN
+            raise ValidationError("logit_clip must be positive and finite")
         if self.aggregation not in AGGREGATIONS:
             raise ValidationError(f"aggregation must be one of {AGGREGATIONS}")
         if self.normalization not in NORMALIZATIONS:
@@ -194,7 +195,7 @@ def build_graph(inst: Instance, rho: float = 0.2) -> JobGraph:
     n = feats.shape[0]
     k = min(max(1, int(math.floor(rho * n))), n - 1)
     diff = feats[:, None, :] - feats[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
     np.fill_diagonal(dist, np.inf)
     # a stable sort keeps equal distances in index order: ties go to the lower index
     neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
@@ -204,16 +205,13 @@ def build_graph(inst: Instance, rho: float = 0.2) -> JobGraph:
 
 @dataclass
 class Activations:
-    """Forward-pass record: per-layer embeddings, the decoder's node keys,
-    and decoder scratch.
-
-    ``edge_layers`` stops at e^(L-1): the last layer's edge update would
-    feed nothing, so the encoder skips it.
+    """Forward-pass record: per-layer node embeddings, the decoder's node
+    keys, and decoder scratch. No edge embedding: each e^l is read only
+    inside layer l, so the encoder keeps none past its layer.
     """
 
     graph: JobGraph
     node_layers: list[np.ndarray]  # h^0 .. h^L, each (n, d)
-    edge_layers: list[np.ndarray]  # e^0 .. e^(L-1), each (n, k, d)
     graph_embedding: np.ndarray  # (d,)
     keys: tuple[Tensor, ...]  # ``_keys`` of h^L, batch of one
     refined: np.ndarray | None = None  # last MHA output h_(c)
@@ -248,8 +246,9 @@ def _encode_core(
     nbr: np.ndarray,
     dist: np.ndarray,
     mode: str,
-) -> tuple[list[Tensor], list[Tensor], Tensor, Tensor]:
-    """Run the gated graph stack on a batch; returns per-layer tensors.
+) -> tuple[list[Tensor], Tensor]:
+    """Run the gated graph stack on a batch; returns the node embeddings
+    h^0 .. h^L, each (B, n, d), and the graph embedding (B, d).
 
     x: (B, n, m) features, nbr: (B, n, k) neighbor indices, dist: (B, n, k).
     The stack computes in the parameters' dtype. The last layer's edge
@@ -263,7 +262,6 @@ def _encode_core(
     h = ag.linear(Tensor(x.astype(dtype, copy=False)), t["w_h"])
     e = Tensor(dist[..., None].astype(dtype, copy=False)) * t["w_e"]
     node_layers = [h]
-    edge_layers = [e]
     edges_finite = np.isfinite(e.data).all()  # e^0; later, only an updated e is checked again
     for layer in range(cfg.layers):
         weights = (t[f"enc{layer}_{name}"] for name in ("B", "C"))
@@ -272,13 +270,11 @@ def _encode_core(
             weights = (t[f"enc{layer}_{name}"] for name in ("D", "E", "F"))
             e = _residual(params, e, ag.edge_preactivation(e, node_layers[layer], *weights, nbr), layer, "edge", mode)
             edges_finite = np.isfinite(e.data).all()
-            edge_layers.append(e)
 
         if not (edges_finite and np.isfinite(h.data).all()):
             raise NumericError(f"non-finite activations at encoder layer {layer}")
         node_layers.append(h)
-    h_graph = h.mean(axis=1)
-    return node_layers, edge_layers, h, h_graph
+    return node_layers, h.mean(axis=1)
 
 
 def _keys(params: PolicyParams, h_nodes: Tensor, h_graph: Tensor) -> tuple[Tensor, ...]:
@@ -330,17 +326,16 @@ def _decode(params: PolicyParams, keys, first, prev, avail) -> tuple[Tensor, Ten
 
 
 def encode(params: PolicyParams, graph: JobGraph) -> Activations:
-    """Embed one job graph in eval mode; per-layer activations are kept for inspection."""
+    """Embed one job graph in eval mode; per-layer node embeddings are kept for inspection."""
     _check_machines(params.config, graph.features.shape[1], "graph")
     with ag.no_grad():
-        node_layers, edge_layers, h_nodes, h_graph = _encode_core(
+        node_layers, h_graph = _encode_core(
             params, graph.features[None], graph.neighbors[None], graph.distances[None], "eval"
         )
-        keys = _keys(params, h_nodes, h_graph)
+        keys = _keys(params, node_layers[-1], h_graph)
     return Activations(
         graph=graph,
         node_layers=[t.data[0] for t in node_layers],
-        edge_layers=[t.data[0] for t in edge_layers],
         graph_embedding=h_graph.data[0],
         keys=keys,
     )
@@ -426,7 +421,7 @@ def _teacher_forced_logprobs(params: PolicyParams, batch: TraceBatch, mode: str)
     """Log-probabilities of the expert actions at every step: (B, n)."""
     b, n, _ = batch.features.shape
     tau = batch.actions
-    _, _, h_nodes, h_graph = _encode_core(params, batch.features, batch.neighbors, batch.distances, mode)
+    node_layers, h_graph = _encode_core(params, batch.features, batch.neighbors, batch.distances, mode)
     # step t's job slots: the placeholders at t=0, then tau[0] and tau[t-1]
     first = np.repeat(tau[:, :1], n, axis=1)
     first[:, 0] = -1
@@ -435,7 +430,7 @@ def _teacher_forced_logprobs(params: PolicyParams, batch: TraceBatch, mode: str)
     pos = np.argsort(tau, axis=1)
     avail = pos[:, None, :] >= np.arange(n)[None, :, None]
 
-    _, logits = _decode(params, _keys(params, h_nodes, h_graph), first, prev, avail)
+    _, logits = _decode(params, _keys(params, node_layers[-1], h_graph), first, prev, avail)
     log_probs = logits.log_softmax(axis=-1)
     return ag.gather_rows(log_probs.reshape(b * n, n, 1), tau.reshape(-1, 1)).reshape(b, n)
 

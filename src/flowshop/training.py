@@ -69,8 +69,8 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
         if not 0 < self.lr_decay <= 1:
             raise ValidationError("lr_decay must be in (0, 1]")
         if self.checkpoint_every < 0:

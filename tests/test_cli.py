@@ -244,12 +244,64 @@ class TestMalformedCheckpoint:
         assert "checkpoint" in capsys.readouterr().err
 
 
+def _file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    return str(path)
+
+
+def _dataset_with_first_time(tmp_path, dataset, value: float) -> str:
+    """A copy of ``dataset`` whose first processing time is ``value``."""
+    head, body = dataset.read_bytes().split(b"\n", 1)
+    return _file(tmp_path, head + b"\n" + np.array([value], dtype="<f8").tobytes() + body[8:])
+
+
+def _nan_checkpoint(tmp_path) -> str:
+    params = PolicyParams.init(TINY_POLICY)
+    for tensor in params.tensors.values():
+        tensor.data[:] = np.nan
+    save_checkpoint(tmp_path / "nan.fsc", params)
+    return str(tmp_path / "nan.fsc")
+
+
+# CLI error paths: (argv from the tmp dir and the dataset, without --out; exit code; stderr text)
+ERROR_PATHS = {
+    "config-missing": (lambda tmp, ds: ["generate", "--config", str(tmp / "none.json")], 2, "data error"),
+    "config-directory": (lambda tmp, ds: ["generate", "--config", str(tmp)], 2, "data error"),
+    "config-not-utf8": (lambda tmp, ds: ["generate", "--config", _file(tmp, b'{"count": "\xff"}')], 2, "data error"),
+    "config-invalid-json": (lambda tmp, ds: ["generate", "--config", _file(tmp, b'{"count": ')], 2, "data error"),
+    "config-array": (lambda tmp, ds: ["generate", "--config", _file(tmp, b"[2]")], 2, "data error"),
+    "report-missing": (lambda tmp, ds: ["export", "--report", str(tmp / "none.json")], 2, "data error"),
+    "report-directory": (lambda tmp, ds: ["export", "--report", str(tmp)], 2, "data error"),
+    "dataset-nan-time": (
+        lambda tmp, ds: ["brute-force", "--dataset", _dataset_with_first_time(tmp, ds, np.nan)], 2, "data error"
+    ),
+    "dataset-negative-time": (
+        lambda tmp, ds: ["brute-force", "--dataset", _dataset_with_first_time(tmp, ds, -1.0)], 2, "data error"
+    ),
+    "checkpoint-nan-tensors": (
+        lambda tmp, ds: ["eval", "--checkpoint", _nan_checkpoint(tmp), "--dataset", str(ds)], 3, "numeric failure"
+    ),
+    "train-nan-lr": (lambda tmp, ds: ["train", "--dataset", str(ds), "--epochs", "1", "--lr", "nan"], 2, "learning_rate"),
+    "train-inf-lr": (lambda tmp, ds: ["train", "--dataset", str(ds), "--epochs", "1", "--lr", "inf"], 2, "learning_rate"),
+}
+
+
 class TestExitCodes:
     def test_no_subcommand(self):
         assert run([]) == 1
 
     def test_bad_flag_value(self):
         assert run(["generate", "--count", "NaNdogs"]) == 1
+
+    @pytest.mark.parametrize("case", ERROR_PATHS.values(), ids=ERROR_PATHS.keys())
+    def test_error_path(self, dataset, tmp_path, case, capsys):
+        make_argv, code, text = case
+        out = tmp_path / "out"
+        assert run(make_argv(tmp_path, dataset) + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert text in err and "Traceback" not in err
+        assert not out.exists()
 
 
 # Config entries probed against each subcommand: (arguments, entries, the same

@@ -44,6 +44,12 @@ class TestDatasetSpec:
         with pytest.raises(ValidationError):
             DatasetSpec(count=1, jobs=5, machines=2, dist="normal", sigma=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("dist, field", [("gamma", "k"), ("gamma", "theta"), ("normal", "mu"), ("normal", "sigma")])
+    def test_non_finite_parameter(self, dist, field, value):
+        with pytest.raises(ValidationError):
+            DatasetSpec(count=1, jobs=5, machines=2, dist=dist, **{field: value})
+
     def test_sigma_zero_allowed(self):
         DatasetSpec(count=1, jobs=5, machines=2, dist="normal", sigma=0.0)
 

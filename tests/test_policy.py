@@ -52,6 +52,11 @@ class TestPolicyConfig:
         with pytest.raises(ValidationError):
             PolicyConfig(machines=2, aggregation="median")
 
+    @pytest.mark.parametrize("clip", [float("nan"), float("inf"), 0.0])
+    def test_logit_clip_positive_and_finite(self, clip):
+        with pytest.raises(ValidationError, match="logit_clip"):
+            PolicyConfig(machines=2, logit_clip=clip)
+
 
 class TestBuildGraph:
     def test_needs_two_jobs(self):
@@ -121,7 +126,7 @@ def oracle_encode_none_norm(params, graph):
     for j in range(n):
         for q in range(k):
             e[j, q] = t["w_e"] * graph.distances[j, q]
-    layers_h, layers_e = [h.copy()], [e.copy()]
+    layers_h = [h.copy()]
     for layer in range(cfg.layers):
         B, C = t[f"enc{layer}_B"], t[f"enc{layer}_C"]
         D, E, F = t[f"enc{layer}_D"], t[f"enc{layer}_E"], t[f"enc{layer}_F"]
@@ -145,8 +150,7 @@ def oracle_encode_none_norm(params, graph):
                 new_e[j, q] = e[j, q] + np.maximum(pre, 0.0)
         h, e = new_h, new_e
         layers_h.append(h.copy())
-        layers_e.append(e.copy())
-    return layers_h, layers_e, h.mean(axis=0)
+    return layers_h, h.mean(axis=0)
 
 
 def oracle_decode(params, acts, state):
@@ -192,16 +196,16 @@ class TestEncode:
             assert np.allclose(h, h[0], atol=1e-12)
 
     def test_zero_weights_pure_residual(self, rng):
-        # two layers: the edge update of layer 0 is the last one that runs
+        # two layers: the edge update of layer 0 runs between the node updates
         inst = random_instance(rng, n=4, m=2)
         params = tiny_params(norm="none", layers=2)
         for layer in range(params.config.layers):
             for name in ("B", "C", "D", "E", "F"):
                 params.tensors[f"enc{layer}_{name}"].data[:] = 0.0
         acts = encode(params, build_graph(inst))
-        assert len(acts.node_layers) == 3 and len(acts.edge_layers) == 2
-        assert np.allclose(acts.node_layers[1], acts.node_layers[0], atol=1e-15)
-        assert np.allclose(acts.edge_layers[1], acts.edge_layers[0], atol=1e-15)
+        assert len(acts.node_layers) == 3
+        for h in acts.node_layers[1:]:
+            assert np.allclose(h, acts.node_layers[0], atol=1e-15)
 
     @pytest.mark.parametrize("aggregation", ["mean", "sum", "max"])
     def test_matches_scalar_oracle(self, rng, aggregation):
@@ -209,13 +213,10 @@ class TestEncode:
         params = tiny_params(norm="none", seed=11, aggregation=aggregation, layers=2)
         graph = build_graph(inst, rho=0.5)
         acts = encode(params, graph)
-        oh, oe, og = oracle_encode_none_norm(params, graph)
-        # the oracle also computes e^L, which encode skips because nothing reads it
+        oh, og = oracle_encode_none_norm(params, graph)
+        # encode keeps no edge embedding: h^(l+1) checks e^l, which gates layer l's messages
         assert len(acts.node_layers) == len(oh) == 3
-        assert len(acts.edge_layers) == len(oe) - 1 == 2
         for got, want in zip(acts.node_layers, oh):
-            np.testing.assert_allclose(got, want, atol=1e-10)
-        for got, want in zip(acts.edge_layers, oe):
             np.testing.assert_allclose(got, want, atol=1e-10)
         np.testing.assert_allclose(acts.graph_embedding, og, atol=1e-10)
 
@@ -240,6 +241,30 @@ class TestEncode:
         params.tensors["w_e"].data[:] = np.inf
         with pytest.raises(NumericError, match="layer 0"):
             encode(params, build_graph(inst))
+
+
+class TestInferenceMemory:
+    """At the paper's 1000 jobs a greedy rollout's memory is the encoder's (n, k, d)
+    edge tensors and ``build_graph``'s (n, n, m) float64 difference cube."""
+
+    def test_encode_peak_within_three_and_a_half_edge_arrays(self):
+        # Each e^l is read only inside layer l, so the eval encoder holds one
+        # edge tensor and that layer's transients: the gathered message and
+        # sigmoid(e) in the node update, the pre-activation and its gather
+        # temporary in the edge update. At k=40 a node array is 1/40 of an edge
+        # array; ~3.24 were measured. Keeping every e^l read 5.24.
+        cfg = PolicyConfig(machines=5, hidden_dim=16, heads=2)
+        _, encode_peak, graph = _inference_peaks(cfg, n=200)
+        assert graph.k == 40
+        assert encode_peak <= 3.5 * graph.n * graph.k * cfg.hidden_dim * 4
+
+    def test_build_graph_peak_within_one_cube(self):
+        # the (n, n, m) difference is squared in place; the rest is (n, n):
+        # distances, their sums, the sort's order. ~1.53 cubes were measured,
+        # and 2.21 when the square was a second cube.
+        n, m = 200, 5
+        graph_peak, _, _ = _inference_peaks(PolicyConfig(machines=m, hidden_dim=8, heads=1, layers=1), n=n)
+        assert graph_peak <= n * n * m * 8 + 4 * n * n * 8
 
 
 class TestDecodeStep:
@@ -671,6 +696,38 @@ def _bc_memory_mib() -> str:
         _float32_params(PolicyParams.init(cfg, seed=0)), TestBcLossBackward._batch(cfg, count=128, n=20)
     )
     return f"float32 B=128 bc_loss: tape {held / 2**20:.1f} MiB, backward peak {peak / 2**20:.1f} MiB"
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes above the starting level that tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _inference_peaks(cfg: PolicyConfig, n: int) -> tuple[int, int, policy.JobGraph]:
+    """tracemalloc peaks of ``build_graph`` and of a float32 ``encode`` on one seeded
+    n-job instance, and the graph."""
+    (inst,) = generate(DatasetSpec(count=1, jobs=n, machines=cfg.machines, seed=0))
+    params = _float32_params(PolicyParams.init(cfg, seed=0))
+    graph = build_graph(inst, cfg.neighbor_fraction)
+    encode(params, graph)  # first call pays for lazy set-up
+    graph_peak = _traced_peak(lambda: build_graph(inst, cfg.neighbor_fraction))
+    return graph_peak, _traced_peak(lambda: encode(params, graph)), graph
+
+
+def _rollout_memory_mib() -> str:
+    """The float32 ``encode`` and ``build_graph`` peaks at n=500, m=20, d=128, the
+    figures inference-memory changes quote."""
+    graph_peak, encode_peak, _ = _inference_peaks(PolicyConfig(machines=20), n=500)
+    return (
+        f"n=500 m=20 d=128: float32 encode peak {encode_peak / 2**20:.1f} MiB,"
+        f" build_graph peak {graph_peak / 2**20:.1f} MiB"
+    )
 
 
 def _float32_params(params: PolicyParams) -> PolicyParams:

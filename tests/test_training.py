@@ -24,6 +24,7 @@ MANIFEST_CORRUPTIONS = {
     "shape_not_matching_bytes": lambda m: m["tensors"][0].update(shape=[1]),
     "negative_offset": lambda m: m["tensors"][0].update(offset=-4),
     "missing_tensor": lambda m: m["tensors"].pop(),
+    "nan_logit_clip": lambda m: m["policy"].update(logit_clip=float("nan")),  # json writes a bare NaN
 }
 
 
@@ -54,6 +55,11 @@ class TestTrainConfig:
             tiny_train_config(lr_decay=0.0)
         with pytest.raises(ValidationError):
             tiny_train_config(batch_size=0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+    def test_learning_rate_positive_and_finite(self, lr):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            tiny_train_config(learning_rate=lr)
 
 
 class TestAdam:
