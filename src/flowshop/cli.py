@@ -10,14 +10,16 @@ subcommand, placed before the explicit flags so that those win. A key is
 the flag name without its dashes, words joined by ``-`` or ``_``; a string
 value is the flag's text, any other value its JSON text; a switch takes
 true or false; null leaves the option unset, and a key that names no
-option is ignored. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
+option is ignored. Output paths (--out, --log) are checked before any
+work starts. Exit codes: 0 success, 1 usage error, 2 data error (an
+unreadable input or an unwritable output among them), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -113,6 +115,24 @@ def _indexed_instance(args: argparse.Namespace):
     return instances[args.index]
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Reject an output path that cannot be written before any work starts: --out, whose
+    directory train's .epochN checkpoints share, and --log. The path's directory must
+    exist and be writable, and the path must not be a directory, except emit-mip's --out."""
+    for flag in ("out", "log"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        target = Path(path)
+        if target.is_dir() and args.command != "emit-mip":
+            raise DataError(f"--{flag} {path} is a directory")
+        folder = target if target.is_dir() else target.parent
+        if not folder.is_dir():
+            raise DataError(f"--{flag} {path}: directory {folder} does not exist")
+        if not os.access(target if target.exists() else folder, os.W_OK):
+            raise DataError(f"--{flag} {path} is not writable")
+
+
 def _write(args: argparse.Namespace, text: str) -> None:
     """Write ``text`` to --out, or to stdout without one."""
     path = getattr(args, "out", None)
@@ -187,9 +207,12 @@ def _cmd_eval(args) -> int:
 
 def _number_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expects a comma-separated number list, not {text!r}") from exc
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expects a comma-separated list of numbers, not {text!r}")
+    return values
 
 
 def _cmd_sweep_sigma(args) -> int:
@@ -343,11 +366,12 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "config"):  # parse again with the file's flags right after the subcommand
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + args.config + argv[at:])
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValidationError) as exc:
+    except (DataError, ValidationError, OSError) as exc:  # OSError: a file that failed mid-read or mid-write
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

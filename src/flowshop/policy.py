@@ -139,14 +139,16 @@ class PolicyParams:
         }
         buffers: dict[str, np.ndarray] = {}
         for layer in range(config.layers):
-            for name in ("B", "C", "D", "E", "F"):
+            edges = layer + 1 < config.layers  # the last layer has no edge update: no later layer reads it
+            for name in ("B", "C", "D", "E", "F") if edges else ("B", "C"):
                 tensors[f"enc{layer}_{name}"] = weight(d, d)
+            streams = ("node", "edge") if edges else ("node",)
             if config.normalization != "none":
-                for stream in ("node", "edge"):
+                for stream in streams:
                     tensors[f"enc{layer}_{stream}_gamma"] = Tensor(np.ones(d), requires_grad=True)
                     tensors[f"enc{layer}_{stream}_beta"] = Tensor(np.zeros(d), requires_grad=True)
             if config.normalization == "batch":
-                for stream in ("node", "edge"):
+                for stream in streams:
                     buffers[f"enc{layer}_{stream}_mean"] = np.zeros(d)
                     buffers[f"enc{layer}_{stream}_var"] = np.ones(d)
         return cls(config, tensors, buffers)
@@ -160,12 +162,7 @@ class PolicyParams:
             t.grad = None
 
     def grads(self) -> dict[str, np.ndarray]:
-        # tensors outside the loss path (the last layer's edge update, which
-        # _encode_core skips) carry an exact zero gradient
-        return {
-            k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-            for k, t in self.tensors.items()
-        }
+        return {k: t.grad.copy() for k, t in self.tensors.items()}
 
 
 @dataclass(frozen=True)
@@ -251,10 +248,8 @@ def _encode_core(
     h^0 .. h^L, each (B, n, d), and the graph embedding (B, d).
 
     x: (B, n, m) features, nbr: (B, n, k) neighbor indices, dist: (B, n, k).
-    The stack computes in the parameters' dtype. The last layer's edge
-    update is skipped, since no later layer reads it: its weights get exact
-    zero gradients and its edge batch-norm statistics stay at their
-    initial values.
+    The stack computes in the parameters' dtype. The last layer has no edge
+    update, since no later layer would read it.
     """
     cfg = params.config
     t = params.tensors

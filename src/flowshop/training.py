@@ -245,13 +245,15 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
     format or version, a ``policy`` entry that is not a valid
     :class:`PolicyConfig`, or a tensor table that does not list exactly
     the tensors of ``PolicyParams.init(config)``, each once, with its
-    kind and shape and a byte range inside the body.
+    kind and shape and a byte range inside the body; the entries older
+    checkpoints hold for the last layer's unread edge update are skipped.
     """
     manifest, body = _read_container(path, _FORMAT, _VERSION, "checkpoint manifest")
     config = _checkpoint_config(manifest.get("policy"), len(body))
     reference = PolicyParams.init(config)
     expected = {name: ("param", t.data.shape) for name, t in reference.tensors.items()}
     expected.update((name, ("buffer", b.shape)) for name, b in reference.buffers.items())
+    unread = {f"enc{config.layers - 1}_{n}" for n in ("D", "E", "F", "edge_gamma", "edge_beta", "edge_mean", "edge_var")}
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise DataError("checkpoint manifest 'tensors' must be a list")
@@ -261,6 +263,8 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
         if not isinstance(entry, dict):
             raise DataError("checkpoint tensor entries must be JSON objects")
         name = entry.get("name")
+        if isinstance(name, str) and name in unread:
+            continue
         if not isinstance(name, str) or name not in expected:
             raise DataError(f"checkpoint holds unknown tensor {name!r}")
         if name in tensors or name in buffers:
@@ -291,8 +295,9 @@ def load_checkpoint(path) -> tuple[PolicyParams, dict]:
 def _checkpoint_config(policy, body_bytes: int) -> PolicyConfig:
     """The manifest's architecture, checked before any tensor is allocated.
 
-    Every architecture stores w_h (d, m), mha_wq (d, 3d) and five (d, d)
-    weights per layer, so a body too short for them is rejected before
+    Every architecture stores w_h (d, m), mha_wq (d, 3d), five more (d, d)
+    decoder weights and five (d, d) weights per layer, two in the last, so
+    a body under 4d (m + 3d + 5dL) bytes is rejected before
     ``PolicyParams.init`` would allocate a corrupt header's sizes. Older
     checkpoints record ``"scale_features": false``, which is dropped; a
     true value is rejected, since features are no longer scaled.

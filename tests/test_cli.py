@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowshop import cli
 from flowshop.cli import build_parser, main
 from flowshop.env import record_expert_traces, save_traces
 from flowshop.harness import report_from_json
@@ -264,7 +265,8 @@ def _nan_checkpoint(tmp_path) -> str:
     return str(tmp_path / "nan.fsc")
 
 
-# CLI error paths: (argv from the tmp dir and the dataset, without --out; exit code; stderr text)
+# CLI error paths: (argv from the tmp dir and the dataset; exit code; stderr text). The test puts
+# a writable --out right after the subcommand, so a case's own --out, if any, wins.
 ERROR_PATHS = {
     "config-missing": (lambda tmp, ds: ["generate", "--config", str(tmp / "none.json")], 2, "data error"),
     "config-directory": (lambda tmp, ds: ["generate", "--config", str(tmp)], 2, "data error"),
@@ -284,6 +286,46 @@ ERROR_PATHS = {
     ),
     "train-nan-lr": (lambda tmp, ds: ["train", "--dataset", str(ds), "--epochs", "1", "--lr", "nan"], 2, "learning_rate"),
     "train-inf-lr": (lambda tmp, ds: ["train", "--dataset", str(ds), "--epochs", "1", "--lr", "inf"], 2, "learning_rate"),
+    "sigmas-empty": (lambda tmp, ds: ["sweep-sigma", "--sigmas", ",", "--method-a", "rs", "--method-b", "neh"],
+                     1, "usage error"),
+    "machines-list-empty": (
+        lambda tmp, ds: ["sweep-machines", "--machines-list", ",", "--method-a", "rs", "--method-b", "neh"],
+        1, "usage error",
+    ),
+    "checkpoint-missing": (
+        lambda tmp, ds: ["eval", "--checkpoint", str(tmp / "none.fsc"), "--dataset", str(ds)], 2, "data error"
+    ),
+    "dataset-directory": (lambda tmp, ds: ["solve", "--dataset", str(tmp), "--methods", "neh"], 2, "data error"),
+    "traces-missing": (
+        lambda tmp, ds: ["train", "--dataset", str(ds), "--traces", str(tmp / "none.fst"), "--epochs", "1"],
+        2, "data error",
+    ),
+    # output paths, checked before any work
+    "generate-out-no-directory": (
+        lambda tmp, ds: ["generate", "--count", "1", "--jobs", "3", "--machines", "2", "--out", str(tmp / "no" / "x.fsd")],
+        2, "does not exist",
+    ),
+    "solve-out-no-directory": (
+        lambda tmp, ds: ["solve", "--dataset", str(ds), "--methods", "neh", "--out", str(tmp / "no" / "r.json")],
+        2, "does not exist",
+    ),
+    "solve-out-directory": (
+        lambda tmp, ds: ["solve", "--dataset", str(ds), "--methods", "neh", "--out", str(tmp)], 2, "is a directory"
+    ),
+    "brute-force-out-no-directory": (
+        lambda tmp, ds: ["brute-force", "--dataset", str(ds), "--out", str(tmp / "no" / "bf.json")], 2, "does not exist"
+    ),
+    "emit-mip-out-no-directory": (
+        lambda tmp, ds: ["emit-mip", "--dataset", str(ds), "--out", str(tmp / "no" / "m.lp")], 2, "does not exist"
+    ),
+    "train-out-no-directory": (
+        lambda tmp, ds: ["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp / "no" / "c.fsc")],
+        2, "does not exist",
+    ),
+    "train-log-no-directory": (
+        lambda tmp, ds: ["train", "--dataset", str(ds), "--epochs", "1", "--log", str(tmp / "no" / "l.jsonl")],
+        2, "does not exist",
+    ),
 }
 
 
@@ -298,10 +340,27 @@ class TestExitCodes:
     def test_error_path(self, dataset, tmp_path, case, capsys):
         make_argv, code, text = case
         out = tmp_path / "out"
-        assert run(make_argv(tmp_path, dataset) + ["--out", str(out)]) == code
+        argv = make_argv(tmp_path, dataset)
+        assert run(argv[:1] + ["--out", str(out)] + argv[1:]) == code
         err = capsys.readouterr().err
         assert text in err and "Traceback" not in err
         assert not out.exists()
+        assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_unwritable_train_output_is_rejected_before_training(self, dataset, tmp_path, monkeypatch, flag):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained despite an unwritable output"))
+        argv = ["train", "--dataset", str(dataset), "--epochs", "1", "--out", str(tmp_path / "c.fsc")]
+        assert run(argv + [flag, str(tmp_path / "no" / "file")]) == 2
+
+    def test_write_failure_is_data_error(self, dataset, tmp_path, monkeypatch, capsys):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert run(["solve", "--dataset", str(dataset), "--methods", "neh", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "No space left" in err and "Traceback" not in err
 
 
 # Config entries probed against each subcommand: (arguments, entries, the same

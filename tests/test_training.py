@@ -36,6 +36,35 @@ def rewrite_checkpoint_manifest(path, change):
     path.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
 
 
+def rewrite_to_older_layout(path):
+    """Rewrite a batch-norm checkpoint to the layout saved before the last layer lost
+    its unread edge update: the seven tensors of that update, filled with random
+    values, sit in the manifest and body where ``PolicyParams.init`` made them."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    manifest = json.loads(head)
+    last = f"enc{manifest['policy']['layers'] - 1}"
+    unread_after = {
+        f"{last}_C": ("D", "E", "F"),
+        f"{last}_node_beta": ("edge_gamma", "edge_beta"),
+        f"{last}_node_var": ("edge_mean", "edge_var"),
+    }
+    rng = np.random.default_rng(0)
+    entries, blobs = [], []
+    for entry in manifest["tensors"]:
+        entries.append(entry)
+        blobs.append(body[entry["offset"] : entry["offset"] + entry["nbytes"]])
+        for name in unread_after.get(entry["name"], ()):
+            shape = entry["shape"]  # (d, d) after C, (d,) after the node stream's vectors
+            blobs.append(rng.uniform(-1.0, 1.0, shape).astype("<f4").tobytes())
+            entries.append({"name": f"{last}_{name}", "kind": entry["kind"], "shape": shape, "nbytes": len(blobs[-1])})
+    offset = 0
+    for entry, blob in zip(entries, blobs):
+        entry["offset"] = offset
+        offset += len(blob)
+    manifest["tensors"] = entries
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + b"".join(blobs))
+
+
 def tiny_train_config(**overrides) -> TrainConfig:
     base = dict(policy=TINY_POLICY, epochs=2, batch_size=4, learning_rate=1e-3, seed=0)
     base.update(overrides)
@@ -262,6 +291,24 @@ class TestCheckpoint:
         assert loaded.config == TINY_POLICY
         for name, t in params.tensors.items():
             assert np.array_equal(loaded.tensors[name].data, t.data.astype(np.float32))
+
+    def test_checkpoint_in_the_older_layout_loads(self, tmp_path):
+        config = PolicyConfig(machines=3, hidden_dim=8, layers=2, heads=2)
+        current, older = tmp_path / "current.fsc", tmp_path / "older.fsc"
+        save_checkpoint(current, PolicyParams.init(config, seed=6))
+        older.write_bytes(current.read_bytes())
+        rewrite_to_older_layout(older)
+        loaded, manifest = load_checkpoint(older)
+        reference, _ = load_checkpoint(current)
+        assert len(manifest["tensors"]) == len(reference.tensors) + len(reference.buffers) + 7
+        assert loaded.tensors.keys() == reference.tensors.keys()
+        assert loaded.buffers.keys() == reference.buffers.keys()
+        for name, t in reference.tensors.items():
+            assert np.array_equal(loaded.tensors[name].data, t.data), name
+        for name, b in reference.buffers.items():
+            assert np.array_equal(loaded.buffers[name], b), name
+        for inst in generate(DatasetSpec(count=3, jobs=9, machines=3, seed=9)):
+            assert np.array_equal(rollout_greedy(loaded, inst), rollout_greedy(reference, inst))
 
     def test_manifest_with_scale_features_true_rejected(self, tmp_path):
         path = tmp_path / "model.fsc"
